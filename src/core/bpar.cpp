@@ -1,6 +1,5 @@
 #include "core/bpar.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -75,22 +74,6 @@ exec::StepResult Model::train_batch(const rnn::BatchData& batch) {
 exec::InferResult Model::infer(const rnn::BatchData& batch,
                                const exec::InferOptions& options) {
   return executor_->infer(batch, options);
-}
-
-exec::StepResult Model::infer_batch(const rnn::BatchData& batch,
-                                    std::span<int> predictions) {
-  exec::InferResult result = executor_->infer(batch);
-  if (!predictions.empty()) {
-    BPAR_CHECK(predictions.size() == result.predictions.size(),
-               "prediction buffer size mismatch");
-    std::copy(result.predictions.begin(), result.predictions.end(),
-              predictions.begin());
-  }
-  exec::StepResult step;
-  step.loss = result.loss;
-  step.wall_ms = result.wall_ms;
-  step.stats = std::move(result.stats);
-  return step;
 }
 
 void Model::save(const std::string& path) const {

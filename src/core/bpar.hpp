@@ -75,10 +75,6 @@ class Model {
   /// Forward only: loss, argmax predictions, optional logits.
   exec::InferResult infer(const rnn::BatchData& batch,
                           const exec::InferOptions& options = {});
-  /// Forward only; optional argmax predictions copied into `predictions`.
-  [[deprecated("use infer(batch) -> InferResult")]]
-  exec::StepResult infer_batch(const rnn::BatchData& batch,
-                               std::span<int> predictions = {});
 
   void save(const std::string& path) const;
   void load(const std::string& path);

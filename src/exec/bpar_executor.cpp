@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "exec/reference_pass.hpp"
-#include "graph/passes/registry.hpp"
 #include "obs/memory.hpp"
 #include "obs/trace.hpp"
 #include "perf/timer.hpp"
@@ -52,21 +51,17 @@ graph::TrainingProgram& BParExecutor::program(bool training, int seq_length,
       seq_length > 0 ? seq_length : net_.config().seq_length;
   const int rows =
       batch_rows > 0 ? batch_rows : net_.config().batch_size;
-  const std::string spec = graph::passes::effective_pass_spec(options_.passes);
   auto& cache = training ? train_programs_ : infer_programs_;
-  auto it = cache.find(ShapeKey{steps, rows, spec});
+  auto it = cache.find(ShapeKey{steps, rows});
   if (it == cache.end()) {
     graph::BuildOptions bo;
     // Replicas cannot outnumber batch rows; small serving micro-batches
     // degrade gracefully to fewer (or one) replica.
     bo.num_replicas = std::min(options_.common.num_replicas, rows);
     bo.training = training;
-    bo.schedule_profile =
-        options_.fuse_merge ? "fused_merge" : options_.schedule_profile;
+    bo.schedule_profile = options_.schedule_profile;
     bo.compute_input_grads = options_.compute_input_grads;
     bo.seq_length_override = steps;
-    bo.passes = spec;
-    bo.dispatch_ns = measured_dispatch_ns_;
     if (!training && options_.quantized_inference) {
       if (quantized_ == nullptr) {
         quantized_ = std::make_unique<rnn::QuantizedNetwork>(net_);
@@ -74,7 +69,7 @@ graph::TrainingProgram& BParExecutor::program(bool training, int seq_length,
       bo.quantized = quantized_.get();
     }
     it = cache
-             .emplace(ShapeKey{steps, rows, spec},
+             .emplace(ShapeKey{steps, rows},
                       std::make_unique<graph::TrainingProgram>(net_, rows, bo))
              .first;
     obs::program_cache_memory().on_alloc(program_graph_bytes(*it->second));
@@ -96,22 +91,6 @@ void BParExecutor::refresh_quantized_weights() {
   if (quantized_ != nullptr) quantized_->requantize(net_);
 }
 
-void BParExecutor::note_stats(const taskrt::RunStats& stats) {
-  if (stats.tasks_executed == 0) return;
-  std::uint64_t busy = 0;
-  for (const std::uint64_t w : stats.worker_busy_ns) busy += w;
-  const std::uint64_t pool =
-      stats.wall_ns * stats.worker_busy_ns.size();
-  if (pool <= busy) return;
-  // Idle-time-per-task proxy for dispatch overhead: crude, but it tracks
-  // the regime (tiny-task-dominated runs push it up) and only feeds the
-  // coarsening threshold, where a factor of 2 barely moves the cut.
-  const std::uint64_t per_task =
-      std::clamp<std::uint64_t>((pool - busy) / stats.tasks_executed,
-                                100, 2000);
-  measured_dispatch_ns_ = (3 * measured_dispatch_ns_ + per_task) / 4;
-}
-
 StepResult BParExecutor::train_batch(const rnn::BatchData& batch) {
   BPAR_SPAN("exec.train_batch");
   auto& program = train_program(batch.steps(), batch.batch());
@@ -121,7 +100,6 @@ StepResult BParExecutor::train_batch(const rnn::BatchData& batch) {
   program.prepare();
   StepResult result;
   result.stats = runtime_.run(program.graph());
-  note_stats(result.stats);
   result.loss = program.loss();
   result.wall_ms = timer.elapsed_ms();
   return result;
@@ -136,7 +114,6 @@ InferResult BParExecutor::infer(const rnn::BatchData& batch,
   program.prepare();
   InferResult result;
   result.stats = runtime_.run(program.graph());
-  note_stats(result.stats);
   result.loss = program.loss();
   // Stitch replica outputs back into batch order.
   init_infer_outputs(program.replica(0), program.total_batch(),

@@ -10,11 +10,9 @@
 // building a new graph the first time a length appears.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "exec/common_options.hpp"
@@ -28,7 +26,6 @@ struct BParOptions {
   /// Workers, replicas (mbs:N), policy, pinning, watchdog, faults.
   CommonOptions common{};
   bool record_trace = false;
-  bool fuse_merge = false;  // ablation knob (see DESIGN.md §5.1)
   bool compute_input_grads = false;  // also produce per-timestep dL/dx
   /// Per-task-class hardware counters (RunStats::kind_counters); no-op
   /// when perf_event_open is unavailable.
@@ -38,13 +35,10 @@ struct BParOptions {
   /// fp32 dequantization at the activation boundary. Training always stays
   /// fp32. Call refresh_quantized_weights() after mutating the Network.
   bool quantized_inference = false;
-  /// Graph-optimizer pass spec (graph/passes/registry.hpp): "default"
-  /// resolves through BPAR_GRAPH_PASSES, "none"/"off" disables the
-  /// pipeline, otherwise a comma list like "gate_fusion,coarsen:1200".
-  std::string passes = "default";
   /// Schedule shape forwarded to BuildOptions::schedule_profile ("" =
-  /// free-running B-Par; baseline emulations use "framework" etc.).
-  std::string schedule_profile;
+  /// free-running B-Par; "fused_merge" is the merge-fusion ablation,
+  /// baseline emulations use "framework" etc.).
+  std::string schedule_profile{};
 };
 
 class BParExecutor final : public Executor {
@@ -87,15 +81,9 @@ class BParExecutor final : public Executor {
   }
 
  private:
-  // (seq_length, batch_rows, resolved pass spec) — the pass spec is part of
-  // the cache key so e.g. an env-var change between runs cannot alias a
-  // differently-optimized graph.
-  using ShapeKey = std::tuple<int, int, std::string>;
+  using ShapeKey = std::pair<int, int>;  // (seq_length, batch_rows)
   graph::TrainingProgram& program(bool training, int seq_length,
                                   int batch_rows);
-  /// Folds a run's measured per-task dispatch cost into the EMA that seeds
-  /// the coarsening pass's threshold for future program builds.
-  void note_stats(const taskrt::RunStats& stats);
 
   rnn::Network& net_;
   BParOptions options_;
@@ -106,8 +94,6 @@ class BParExecutor final : public Executor {
   std::map<ShapeKey, std::unique_ptr<graph::TrainingProgram>> train_programs_;
   std::map<ShapeKey, std::unique_ptr<graph::TrainingProgram>> infer_programs_;
   graph::TrainingProgram* last_train_ = nullptr;
-  /// EMA of measured per-task dispatch overhead (ns), fed to new builds.
-  std::uint64_t measured_dispatch_ns_ = 300;
 };
 
 }  // namespace bpar::exec

@@ -13,8 +13,7 @@
 //
 // Inference contract: `infer(batch)` returns an InferResult that owns the
 // argmax predictions (and, on request, the full logits) in batch layout —
-// no caller-sized output spans. The old `infer_batch(batch, span)` overload
-// survives only as a deprecated non-virtual shim over infer().
+// no caller-sized output spans.
 #pragma once
 
 #include <cmath>
@@ -101,12 +100,6 @@ class Executor {
   InferResult infer(const rnn::BatchData& batch) {
     return infer(batch, InferOptions{});
   }
-
-  /// Deprecated shim over infer(): if `predictions` is non-empty it must be
-  /// pre-sized to outputs*batch and receives the argmax class ids.
-  [[deprecated("use infer(batch) -> InferResult")]]
-  StepResult infer_batch(const rnn::BatchData& batch,
-                         std::span<int> predictions);
 
   /// Whole-batch mean gradients from the last train_batch call.
   virtual rnn::NetworkGrads& grads() = 0;

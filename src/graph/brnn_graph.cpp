@@ -1,16 +1,14 @@
 #include "graph/brnn_graph.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <utility>
 
-#include "graph/passes/registry.hpp"
 #include "kernels/elementwise.hpp"
 #include "kernels/gemm.hpp"
-#include "obs/trace.hpp"
 #include "kernels/quant.hpp"
+#include "obs/trace.hpp"
 #include "rnn/flops.hpp"
 #include "rnn/merge.hpp"
 #include "rnn/quantized.hpp"
@@ -24,11 +22,40 @@ using taskrt::Access;
 using taskrt::in;
 using taskrt::inout;
 using taskrt::out;
-using taskrt::TaskId;
 using taskrt::TaskKind;
 using taskrt::TaskSpec;
 using tensor::ConstMatrixView;
 using tensor::MatrixView;
+
+namespace {
+
+// Executable-mode inputs of cell (dir, l, s): the layer input at timestep
+// `ti` (this replica's rows of `x` for layer 0, the merged output of the
+// layer below otherwise) and the state the previous step left (zeros at
+// s == 0; c only for LSTM).
+struct CellInputs {
+  ConstMatrixView x;
+  ConstMatrixView h_prev;
+  ConstMatrixView c_prev;
+};
+
+CellInputs cell_inputs(const std::vector<tensor::Matrix>& x,
+                       rnn::Workspace& ws, bool lstm, int dir, int l, int s,
+                       int ti, int r0, int rb) {
+  CellInputs ci;
+  const tensor::Matrix& xt = x[static_cast<std::size_t>(ti)];
+  ci.x = l == 0 ? xt.cview().block(r0, 0, rb, xt.cols())
+                : ws.merged(l - 1, ti).cview();
+  ci.h_prev =
+      s == 0 ? ws.zero_state.cview() : ws.tape(dir, l, s - 1).h.cview();
+  if (lstm) {
+    ci.c_prev =
+        s == 0 ? ws.zero_state.cview() : ws.tape(dir, l, s - 1).c.cview();
+  }
+  return ci;
+}
+
+}  // namespace
 
 // Per-replica build context. In executable mode all addresses come from the
 // replica's real buffers; in shape-only mode (simulator input for
@@ -134,38 +161,7 @@ struct TrainingProgram::ReplicaCtx {
   [[nodiscard]] const void* addr_loss(int t) const {
     return &prog.losses_[static_cast<std::size_t>(rep) * outputs() + t];
   }
-
-  // ---- executable-mode views ----
-  [[nodiscard]] ConstMatrixView x_view(int t) const {
-    return prog.x_[static_cast<std::size_t>(t)].cview().block(
-        r0, 0, rb, cfg().input_size);
-  }
-  [[nodiscard]] ConstMatrixView layer_input(int l, int t) const {
-    return l == 0 ? x_view(t) : ws->merged(l - 1, t).cview();
-  }
-  [[nodiscard]] std::span<const int> label_view(int t) const {
-    const std::size_t offset =
-        cfg().many_to_many
-            ? static_cast<std::size_t>(t) * prog.total_batch_ + r0
-            : static_cast<std::size_t>(r0);
-    return std::span<const int>(prog.labels_)
-        .subspan(offset, static_cast<std::size_t>(rb));
-  }
 };
-
-// Sequence-wide input projection of layer 0 for one (replica, direction):
-// a packed copy of this replica's input rows and its x·W_x^T image, built
-// in time chunks by the input_precompute pass's ops.
-struct TrainingProgram::PrecompBuf {
-  tensor::Matrix xpack;  // (T*rb) x in_width
-  tensor::Matrix proj;   // (T*rb) x gates*hidden
-  std::vector<const void*> chunk_addrs;  // dependency address per chunk
-  std::vector<int> chunk_begin;          // timestep begin per chunk + T
-  int rb = 0;
-  int cols = 0;  // gates * hidden
-};
-
-TrainingProgram::~TrainingProgram() = default;
 
 void TrainingProgram::resolve_schedule() {
   const std::string& p = opts_.schedule_profile;
@@ -185,21 +181,6 @@ void TrainingProgram::resolve_schedule() {
                  "[bpar] warning: unknown schedule_profile \"%s\"; "
                  "using \"bpar\"\n",
                  p.c_str());
-  }
-  if (opts_.per_layer_barriers || opts_.sequential_directions ||
-      opts_.fuse_merge) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(
-          stderr,
-          "[bpar] warning: BuildOptions::{fuse_merge, per_layer_barriers, "
-          "sequential_directions} are deprecated and will be removed; use "
-          "schedule_profile = \"fused_merge\" / \"layer_barriers\" / "
-          "\"sequential\" / \"framework\"\n");
-    }
-    sched_.per_layer_barriers |= opts_.per_layer_barriers;
-    sched_.sequential_directions |= opts_.sequential_directions;
-    sched_.fuse_merge |= opts_.fuse_merge;
   }
 }
 
@@ -253,8 +234,6 @@ TrainingProgram::TrainingProgram(rnn::Network& net, int total_batch,
   }
 
   build();
-  run_passes();
-  lower();
   graph_.seal();
 }
 
@@ -282,101 +261,10 @@ void TrainingProgram::prepare() {
   if (opts_.training) master_grads_.zero();
 }
 
-void TrainingProgram::add_op(std::function<void()> fn,
-                             std::vector<Access> accesses, TaskSpec spec,
-                             bool chunkable, int gemms) {
-  passes::Op op;
-  op.fn = std::move(fn);
-  op.accesses = std::move(accesses);
-  op.spec = std::move(spec);
-  op.chunkable = chunkable;
-  op.gemms = gemms;
-  ops_.push_back(std::move(op));
-}
-
-void TrainingProgram::add_cell_op(std::vector<Access> accesses, TaskSpec spec,
-                                  passes::CellInfo cell) {
-  passes::Op op;
-  op.accesses = std::move(accesses);
-  op.spec = std::move(spec);
-  op.chunkable = true;
-  op.gemms = passes::cell_forward_gemms(cell.lstm, false, false);
-  op.cell = std::move(cell);
-  ops_.push_back(std::move(op));
-}
-
-std::function<void()> TrainingProgram::make_cell_fn(passes::CellInfo ci) {
-  return [this, ci] {
-    const NetworkConfig& c = cfg_;
-    rnn::Workspace* ws = ci.ws;
-    ConstMatrixView x{};
-    if (!ci.precomputed) {
-      x = ci.layer == 0
-              ? x_[static_cast<std::size_t>(ci.ti)].cview().block(
-                    ci.r0, 0, ci.rb, c.input_size)
-              : ws->merged(ci.layer - 1, ci.ti).cview();
-    }
-    ConstMatrixView h_prev =
-        ci.step == 0 ? ws->zero_state.cview()
-                     : ws->tape(ci.dir, ci.layer, ci.step - 1).h.cview();
-    ConstMatrixView c_prev;
-    if (ci.lstm) {
-      c_prev = ci.step == 0
-                   ? ws->zero_state.cview()
-                   : ws->tape(ci.dir, ci.layer, ci.step - 1).c.cview();
-    }
-    rnn::CellForwardOpts fo;
-    fo.fuse_gates = ci.fuse_gates;
-    if (ci.precomputed) {
-      fo.precomp = ConstMatrixView{ci.precomp_row0, ci.rb, ci.precomp_cols,
-                                   ci.precomp_cols};
-    }
-    rnn::cell_forward_ex(*ci.params, ci.qw, x, h_prev, c_prev,
-                         ws->tape(ci.dir, ci.layer, ci.step).views(), fo);
-    if (ci.fused_merge) {
-      rnn::merge_forward(
-          c.merge, ws->tape(0, ci.layer, ci.step).h.cview(),
-          ws->tape(1, ci.layer, ci.steps - 1 - ci.step).h.cview(),
-          ws->merged(ci.layer, ci.step).view());
-    }
-  };
-}
-
-void TrainingProgram::run_passes() {
-  pass_report_ = {};
-  const passes::PassPipeline pipe = passes::make_pipeline(opts_.passes);
-  pass_report_.signature = pipe.signature();
-  if (pipe.empty()) return;
-  BPAR_SPAN("graph.passes");
-  passes::PassContext ctx{
-      *this,
-      opts_.executable,
-      opts_.training,
-      opts_.executable && !opts_.training && opts_.quantized != nullptr,
-      opts_.dispatch_ns == 0 ? 300 : opts_.dispatch_ns,
-      &pass_report_,
-      {}};
-  pipe.run(ops_, ctx);
-}
-
-void TrainingProgram::lower() {
-  BPAR_SPAN("graph.lower");
-  for (passes::Op& op : ops_) {
-    if (op.dead) continue;
-    gemm_launches_ += static_cast<std::size_t>(op.gemms);
-    std::function<void()> fn = std::move(op.fn);
-    if (op.cell.has_value() && opts_.executable) {
-      fn = make_cell_fn(*op.cell);
-    }
-    lower_one(std::move(fn), op.accesses, std::move(op.spec), op.chunkable);
-  }
-  ops_.clear();
-  ops_.shrink_to_fit();
-}
-
-void TrainingProgram::lower_one(std::function<void()> fn,
-                                std::vector<Access>& accesses, TaskSpec spec,
-                                bool chunkable) {
+void TrainingProgram::add_task(std::function<void()> fn,
+                               std::vector<Access> accesses, TaskSpec spec,
+                               bool chunkable, int gemms) {
+  gemm_launches_ += static_cast<std::size_t>(gemms);
   if (!opts_.executable && !fn) fn = [] {};
   if (!chunkable || opts_.intra_op_chunks <= 1 || opts_.executable) {
     graph_.add(std::move(fn),
@@ -417,136 +305,7 @@ void TrainingProgram::lower_one(std::function<void()> fn,
              std::move(join_spec));
 }
 
-// ---- pass hooks ----
-
-passes::OpList TrainingProgram::make_precompute_ops(int rep, int dir,
-                                                    int chunks) {
-  const NetworkConfig& cfg = cfg_;
-  const int steps = cfg.seq_length;
-  const int rb = row_begin_[static_cast<std::size_t>(rep + 1)] -
-                 row_begin_[static_cast<std::size_t>(rep)];
-  const int r0 = row_begin_[static_cast<std::size_t>(rep)];
-  const int in_width = cfg.input_size;
-  const int gcols = rnn::gate_count(cfg.cell) * cfg.hidden_size;
-  const std::size_t key = static_cast<std::size_t>(rep) * 2 + dir;
-  if (precomp_.size() < static_cast<std::size_t>(opts_.num_replicas) * 2) {
-    precomp_.resize(static_cast<std::size_t>(opts_.num_replicas) * 2);
-  }
-  if (precomp_[key] != nullptr) return {};
-  chunks = std::clamp(chunks, 1, steps);
-
-  auto buf = std::make_unique<PrecompBuf>();
-  buf->rb = rb;
-  buf->cols = gcols;
-  if (opts_.executable) {
-    buf->xpack.resize(steps * rb, in_width);
-    buf->proj.resize(steps * rb, gcols);
-  }
-  const int tbase = steps / chunks;
-  const int textra = steps % chunks;
-  int tcur = 0;
-  for (int c = 0; c < chunks; ++c) {
-    buf->chunk_begin.push_back(tcur);
-    tcur += tbase + (c < textra ? 1 : 0);
-  }
-  buf->chunk_begin.push_back(steps);
-
-  const rnn::LayerParams* params =
-      opts_.executable ? &net_.layer(dir, 0) : nullptr;
-  const kernels::QuantizedMatrix* qw =
-      (opts_.executable && !opts_.training && opts_.quantized != nullptr)
-          ? &opts_.quantized->layer(dir, 0)
-          : nullptr;
-
-  passes::OpList ops;
-  for (int c = 0; c < chunks; ++c) {
-    const int t0 = buf->chunk_begin[static_cast<std::size_t>(c)];
-    const int t1 = buf->chunk_begin[static_cast<std::size_t>(c + 1)];
-    const void* addr =
-        opts_.executable
-            ? static_cast<const void*>(
-                  buf->proj.data() +
-                  static_cast<std::size_t>(t0) * rb * gcols)
-            : fresh_token();
-    buf->chunk_addrs.push_back(addr);
-
-    passes::Op op;
-    op.spec.kind = TaskKind::kInputPrecompute;
-    op.spec.name = std::string("x") + (dir == 0 ? "f" : "r") + "0.c" +
-                   std::to_string(c);
-    op.spec.layer = 0;
-    op.spec.step = t0;
-    op.spec.replica = rep;
-    op.spec.flops = 2.0 * (t1 - t0) * rb * in_width *
-                    static_cast<double>(gcols);
-    op.spec.working_set_bytes =
-        (static_cast<std::size_t>(t1 - t0) * rb * (in_width + gcols) +
-         static_cast<std::size_t>(in_width) * gcols) *
-        sizeof(float);
-    op.gemms = 1;
-    for (int t = t0; t < t1; ++t) {
-      op.accesses.push_back(in(
-          opts_.executable
-              ? static_cast<const void*>(
-                    x_[static_cast<std::size_t>(t)].data() +
-                    static_cast<std::size_t>(r0) * in_width)
-              : static_cast<const void*>(
-                    arenas_[static_cast<std::size_t>(rep)].data() +
-                    x_bases_[static_cast<std::size_t>(rep)] + t)));
-    }
-    op.accesses.push_back(out(addr));
-    if (opts_.executable) {
-      PrecompBuf* b = buf.get();
-      op.fn = [this, b, params, qw, t0, t1, rb, r0, in_width] {
-        BPAR_SPAN("graph.input_precompute");
-        for (int t = t0; t < t1; ++t) {
-          tensor::copy(
-              x_[static_cast<std::size_t>(t)].cview().block(r0, 0, rb,
-                                                            in_width),
-              b->xpack.view().block(t * rb, 0, rb, in_width));
-        }
-        const ConstMatrixView xv =
-            b->xpack.cview().block(t0 * rb, 0, (t1 - t0) * rb, in_width);
-        MatrixView pv =
-            b->proj.view().block(t0 * rb, 0, (t1 - t0) * rb, b->cols);
-        if (qw != nullptr) {
-          kernels::qgemm_nt(xv, qw->view().block(0, 0, qw->rows(), in_width),
-                            pv);
-        } else {
-          kernels::gemm_nt(xv, params->w_input(), pv);
-        }
-      };
-    }
-    ops.push_back(std::move(op));
-  }
-  precomp_[key] = std::move(buf);
-  return ops;
-}
-
-const void* TrainingProgram::precompute_chunk_addr(int rep, int dir,
-                                                   int ti) const {
-  const auto& buf = precomp_[static_cast<std::size_t>(rep) * 2 + dir];
-  BPAR_CHECK(buf != nullptr, "precompute buffers not built");
-  for (std::size_t c = 0; c + 1 < buf->chunk_begin.size(); ++c) {
-    if (ti < buf->chunk_begin[c + 1]) return buf->chunk_addrs[c];
-  }
-  BPAR_CHECK(false, "timestep ", ti, " outside precompute chunks");
-  return nullptr;
-}
-
-const float* TrainingProgram::precompute_row(int rep, int dir, int ti) const {
-  const auto& buf = precomp_[static_cast<std::size_t>(rep) * 2 + dir];
-  if (buf == nullptr || !opts_.executable) return nullptr;
-  return buf->proj.data() +
-         static_cast<std::size_t>(ti) * buf->rb * buf->cols;
-}
-
-int TrainingProgram::precompute_cols(int rep, int dir) const {
-  const auto& buf = precomp_[static_cast<std::size_t>(rep) * 2 + dir];
-  return buf == nullptr ? 0 : buf->cols;
-}
-
-// ---- graph construction (intermediate op form) ----
+// ---- graph construction ----
 
 void TrainingProgram::build() {
   for (int rep = 0; rep < opts_.num_replicas; ++rep) build_replica(rep);
@@ -601,7 +360,6 @@ void TrainingProgram::build_replica(int rep) {
     arenas_.emplace_back(off, 0);
     ctx.arena_data = arenas_.back().data();
     grads_bases_.push_back(ctx.grads_base);
-    x_bases_.push_back(ctx.x_base);
   }
 
   // Fresh forward-barrier tokens for this replica (framework emulation).
@@ -678,29 +436,34 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
       }
       acc.push_back(out(ctx.addr_h(dir, l, s)));
 
-      passes::CellInfo ci;
-      ci.ws = ctx.ws;
-      ci.params = params;
-      ci.qw = qw;
-      ci.rep = ctx.rep;
-      ci.dir = dir;
-      ci.layer = l;
-      ci.step = s;
-      ci.ti = ti;
-      ci.r0 = ctx.r0;
-      ci.rb = ctx.rb;
-      ci.steps = steps;
-      ci.in_width = in_width;
-      ci.hidden = cfg.hidden_size;
-      ci.gates = rnn::gate_count(cfg.cell);
-      ci.lstm = lstm;
-      ci.fused_merge = fused_merge;
-
+      std::function<void()> fn;
+      if (opts_.executable) {
+        fn = [this, ws = ctx.ws, params, qw, dir, l, s, ti, lstm, fused_merge,
+              steps, r0 = ctx.r0, rb = ctx.rb] {
+          const CellInputs ci =
+              cell_inputs(x_, *ws, lstm, dir, l, s, ti, r0, rb);
+          const rnn::CellTapeViews tape = ws->tape(dir, l, s).views();
+          if (qw != nullptr) {
+            rnn::cell_forward_quantized(*params, *qw, ci.x, ci.h_prev,
+                                        ci.c_prev, tape);
+          } else {
+            rnn::cell_forward(*params, ci.x, ci.h_prev, ci.c_prev, tape);
+          }
+          if (fused_merge) {
+            rnn::merge_forward(cfg_.merge, ws->tape(0, l, s).h.cview(),
+                               ws->tape(1, l, steps - 1 - s).h.cview(),
+                               ws->merged(l, s).view());
+          }
+        };
+      }
       TaskSpec spec = cell_spec(dir, s);
       if (fused_merge) {
         spec.flops += rnn::merge_flops(cfg.merge, ctx.rb, cfg.hidden_size);
       }
-      add_cell_op(std::move(acc), std::move(spec), std::move(ci));
+      // One wide input GEMM plus the recurrent one; GRU's candidate block
+      // needs its own recurrent GEMM on r ⊙ h_prev.
+      add_task(std::move(fn), std::move(acc), std::move(spec), true,
+               lstm ? 2 : 3);
     }
   };
 
@@ -736,7 +499,7 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
       spec.step = t;
       spec.replica = ctx.rep;
       spec.name = "m" + std::to_string(l) + "." + std::to_string(t);
-      add_op(std::move(fn), std::move(acc), std::move(spec), false);
+      add_task(std::move(fn), std::move(acc), std::move(spec), false);
     }
   }
 
@@ -751,7 +514,7 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
     spec.cost_hint_ns = 1000;
     spec.layer = l;
     spec.replica = ctx.rep;
-    add_op({}, std::move(acc), std::move(spec), false);
+    add_task({}, std::move(acc), std::move(spec), false);
   }
 }
 
@@ -783,7 +546,7 @@ void TrainingProgram::build_loss_and_dense(ReplicaCtx& ctx) {
     spec.layer = last;
     spec.replica = ctx.rep;
     spec.name = "final_merge";
-    add_op(std::move(fn), std::move(acc), std::move(spec), false);
+    add_task(std::move(fn), std::move(acc), std::move(spec), false);
   }
 
   const double weight =
@@ -832,7 +595,7 @@ void TrainingProgram::build_loss_and_dense(ReplicaCtx& ctx) {
     spec.step = t;
     spec.replica = ctx.rep;
     spec.name = "dense_fwd." + std::to_string(t);
-    add_op(std::move(fn), std::move(acc), std::move(spec), false, 1);
+    add_task(std::move(fn), std::move(acc), std::move(spec), false, 1);
   }
 }
 
@@ -874,7 +637,7 @@ void TrainingProgram::build_dense_backward(ReplicaCtx& ctx) {
       spec.step = t;
       spec.replica = ctx.rep;
       spec.name = "loss_grad." + std::to_string(t);
-      add_op(std::move(fn), std::move(acc), std::move(spec), false);
+      add_task(std::move(fn), std::move(acc), std::move(spec), false);
     }
     // Dense backward: dw_out += dlogits^T y; dy += dlogits * W.
     {
@@ -907,7 +670,7 @@ void TrainingProgram::build_dense_backward(ReplicaCtx& ctx) {
       spec.step = t;
       spec.replica = ctx.rep;
       spec.name = "dense_bwd." + std::to_string(t);
-      add_op(std::move(fn), std::move(acc), std::move(spec), false, 2);
+      add_task(std::move(fn), std::move(acc), std::move(spec), false, 2);
     }
   }
 
@@ -935,7 +698,7 @@ void TrainingProgram::build_dense_backward(ReplicaCtx& ctx) {
     spec.layer = last;
     spec.replica = ctx.rep;
     spec.name = "final_merge_bwd";
-    add_op(std::move(fn), std::move(acc), std::move(spec), false);
+    add_task(std::move(fn), std::move(acc), std::move(spec), false);
   }
 }
 
@@ -967,7 +730,7 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
     spec.cost_hint_ns = 1000;
     spec.layer = l;
     spec.replica = ctx.rep;
-    add_op({}, std::move(acc), std::move(spec), false);
+    add_task({}, std::move(acc), std::move(spec), false);
   }
 
   // Merge backward tasks: both directions' dmerged halves → dh of both
@@ -1003,7 +766,7 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
       spec.step = t;
       spec.replica = ctx.rep;
       spec.name = "mb" + std::to_string(l) + "." + std::to_string(t);
-      add_op(std::move(fn), std::move(acc), std::move(spec), false);
+      add_task(std::move(fn), std::move(acc), std::move(spec), false);
     }
   }
 
@@ -1050,28 +813,17 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
       if (opts_.executable) {
         fn = [this, ws, grads, params, dir, l, s, ti, lstm, fused_merge,
               steps, r0 = ctx.r0, rb = ctx.rb] {
-          const NetworkConfig& c = cfg_;
           if (fused_merge) {
             for (int src = 0; src < 2; ++src) {
-              rnn::merge_backward(c.merge, ws->tape(0, l, s).h.cview(),
+              rnn::merge_backward(cfg_.merge, ws->tape(0, l, s).h.cview(),
                                   ws->tape(1, l, steps - 1 - s).h.cview(),
                                   ws->dmerged(src, l, s).cview(),
                                   ws->dh(0, l, s).view(),
                                   ws->dh(1, l, steps - 1 - s).view());
             }
           }
-          ConstMatrixView x =
-              l == 0 ? x_[static_cast<std::size_t>(ti)].cview().block(
-                           r0, 0, rb, c.input_size)
-                     : ws->merged(l - 1, ti).cview();
-          ConstMatrixView h_prev = s == 0
-                                       ? ws->zero_state.cview()
-                                       : ws->tape(dir, l, s - 1).h.cview();
-          ConstMatrixView c_prev;
-          if (lstm) {
-            c_prev = s == 0 ? ws->zero_state.cview()
-                            : ws->tape(dir, l, s - 1).c.cview();
-          }
+          const CellInputs ci =
+              cell_inputs(x_, *ws, lstm, dir, l, s, ti, r0, rb);
           ConstMatrixView dc_in;
           if (lstm && s < steps - 1) dc_in = ws->dc(dir, l, s).cview();
           MatrixView dx_acc;
@@ -1087,9 +839,9 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
             dc_prev = s > 0 ? ws->dc(dir, l, s - 1).view()
                             : ws->sink(dir, l).view();
           }
-          rnn::cell_backward(*params, x, h_prev, c_prev, ws->tape(dir, l, s),
-                             ws->dh(dir, l, s).cview(), dc_in, dx_acc,
-                             dh_prev, dc_prev,
+          rnn::cell_backward(*params, ci.x, ci.h_prev, ci.c_prev,
+                             ws->tape(dir, l, s), ws->dh(dir, l, s).cview(),
+                             dc_in, dx_acc, dh_prev, dc_prev,
                              grads->layers[dir][static_cast<std::size_t>(l)]);
         };
       }
@@ -1105,7 +857,7 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
       spec.replica = ctx.rep;
       spec.name = std::string(dir == 0 ? "bf" : "br") + std::to_string(l) +
                   "." + std::to_string(s);
-      add_op(std::move(fn), std::move(acc), std::move(spec), true, gemms);
+      add_task(std::move(fn), std::move(acc), std::move(spec), true, gemms);
     }
   };
   emit_bwd(0);
@@ -1130,7 +882,7 @@ void TrainingProgram::build_reduction() {
     TaskSpec spec;
     spec.kind = TaskKind::kLoss;
     spec.name = "reduce.loss";
-    add_op(std::move(fn), std::move(acc), std::move(spec), false);
+    add_task(std::move(fn), std::move(acc), std::move(spec), false);
   }
   if (!opts_.training) return;
 
@@ -1188,7 +940,7 @@ void TrainingProgram::build_reduction() {
           (opts_.num_replicas + 1) * shape_ref.param_count() * sizeof(float);
       spec.layer = l;
       spec.name = "reduce." + std::to_string(dir) + "." + std::to_string(l);
-      add_op(std::move(fn), std::move(acc), std::move(spec), false);
+      add_task(std::move(fn), std::move(acc), std::move(spec), false);
     }
   }
 
@@ -1221,7 +973,7 @@ void TrainingProgram::build_reduction() {
     spec.flops = 2.0 * opts_.num_replicas *
                  static_cast<double>(cfg.num_classes) * cfg.merged_size();
     spec.name = "reduce.dense";
-    add_op(std::move(fn), std::move(acc), std::move(spec), false);
+    add_task(std::move(fn), std::move(acc), std::move(spec), false);
   }
 }
 

@@ -1,6 +1,5 @@
 // Task-graph construction for BRNN training and inference — the C++
-// realization of the paper's Algorithms 1-3, plus the pass-pipeline
-// optimizer layered on top (DESIGN.md §5k).
+// realization of the paper's Algorithms 1-3 (DESIGN.md §5k).
 //
 // A `TrainingProgram` owns every buffer a batch pass touches (input copies,
 // per-replica workspaces and gradients, the master gradients) and a
@@ -15,12 +14,9 @@
 //                                 grads, dh of predecessor, dmerged below)
 //   * gradient reduction:         in(all replica grads) inout(master)
 //
-// Construction happens in three stages: build() emits an intermediate op
-// list (closures + access lists + specs, forward cells as rewritable
-// descriptors), the `BuildOptions::passes` pipeline rewrites that list, and
-// lower() resolves the surviving ops into the TaskGraph. With an empty pass
-// spec (the default here) the graph is the faithful per-cell-per-timestep
-// form the paper describes; executors opt into the optimizer pipeline.
+// build() adds every task straight to the TaskGraph: one task per cell per
+// timestep, the form the paper describes. A forward cell runs one wide
+// input-side gate GEMM (rnn/cell_kernels.hpp) for both cell types.
 //
 // Baseline schedules (per-layer barriers, sequential directions, fused
 // merge) are selected with `BuildOptions::schedule_profile`; see
@@ -31,13 +27,13 @@
 // the graph (built once) stays valid.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "graph/passes/pass.hpp"
 #include "rnn/batch.hpp"
 #include "rnn/network.hpp"
 #include "taskrt/task_graph.hpp"
@@ -57,16 +53,7 @@ struct BuildOptions {
   int seq_length_override = 0;
   bool training = true;   // false → forward + loss only
   bool executable = true; // false → shape-only graph (for the simulator)
-
-  /// DEPRECATED: use schedule_profile = "layer_barriers" / "framework".
-  /// Mapped with a one-release warning; will be removed.
-  bool per_layer_barriers = false;
-  /// DEPRECATED: use schedule_profile = "sequential" / "framework".
-  bool sequential_directions = false;
   int intra_op_chunks = 1;  // split each cell into N chunks (shape-only)
-
-  /// DEPRECATED: use schedule_profile = "fused_merge".
-  bool fuse_merge = false;
 
   /// Also compute ∂L/∂x (per-timestep input gradients) during backward —
   /// off by default because layer 0 then pays an extra GEMM per cell.
@@ -78,21 +65,11 @@ struct BuildOptions {
   /// program and be refreshed whenever the Network's weights change.
   const rnn::QuantizedNetwork* quantized = nullptr;
 
-  /// Optimizer pass spec (see graph/passes/registry.hpp). "" = no passes:
-  /// the faithful paper graph. Executors resolve their user-facing
-  /// default ("default" / BPAR_GRAPH_PASSES) through
-  /// passes::effective_pass_spec before setting this.
-  std::string passes;
-
   /// Named schedule shape: "" or "bpar" (default — free-running task
   /// schedule), "fused_merge" (merge folded into forward cells, the
   /// ablation), "layer_barriers", "sequential", "framework" (barriers +
   /// sequential directions — the Keras/PyTorch emulation).
   std::string schedule_profile;
-
-  /// Measured per-task dispatch cost feeding the coarsening pass's
-  /// threshold (4×). Executors update this from RunStats.
-  std::uint64_t dispatch_ns = 300;
 };
 
 class TrainingProgram {
@@ -101,7 +78,6 @@ class TrainingProgram {
   /// split across opts.num_replicas mini-batches. `net` must outlive the
   /// program; its weights are read in place on every run.
   TrainingProgram(rnn::Network& net, int total_batch, BuildOptions opts);
-  ~TrainingProgram();
 
   /// Copies batch data into the program's stable input buffers.
   void load_batch(const rnn::BatchData& batch);
@@ -131,34 +107,16 @@ class TrainingProgram {
     return replica(r).probs(t);
   }
 
-  /// What the pass pipeline rewrote (signature "none" when no passes ran).
-  [[nodiscard]] const passes::PassReport& pass_report() const {
-    return pass_report_;
-  }
-  [[nodiscard]] const std::string& pass_signature() const {
-    return pass_report_.signature;
-  }
+  /// Always "none": there is one graph form. Kept because perfbench
+  /// records it as provenance.
+  [[nodiscard]] std::string pass_signature() const { return "none"; }
   /// GEMM launches one full graph execution performs (reporting).
   [[nodiscard]] std::size_t gemm_launches() const { return gemm_launches_; }
 
-  // ---- pass-pipeline hooks (called from src/graph/passes, not users) ----
-  /// Allocates the sequence-wide input-projection buffers of layer 0 for
-  /// (rep, dir) and returns the chunked GEMM ops computing them. Returns
-  /// an empty list when already built for that (rep, dir).
-  passes::OpList make_precompute_ops(int rep, int dir, int chunks);
-  /// Dependency address of the precompute chunk covering input step `ti`.
-  [[nodiscard]] const void* precompute_chunk_addr(int rep, int dir,
-                                                  int ti) const;
-  /// First element of the projection rows for input step `ti` (executable
-  /// mode; null for shape-only graphs).
-  [[nodiscard]] const float* precompute_row(int rep, int dir, int ti) const;
-  [[nodiscard]] int precompute_cols(int rep, int dir) const;
-
  private:
   struct ReplicaCtx;  // defined in the .cpp
-  struct PrecompBuf;  // defined in the .cpp
 
-  // Resolved schedule shape (profile + deprecated booleans folded in).
+  // Resolved schedule shape.
   struct Schedule {
     bool per_layer_barriers = false;
     bool sequential_directions = false;
@@ -173,22 +131,11 @@ class TrainingProgram {
   void build_loss_and_dense(ReplicaCtx& ctx);
   void build_dense_backward(ReplicaCtx& ctx);
   void build_reduction();
-  void run_passes();
-  void lower();
 
-  /// Appends a closure op to the intermediate list.
-  void add_op(std::function<void()> fn, std::vector<taskrt::Access> accesses,
-              taskrt::TaskSpec spec, bool chunkable, int gemms = 0);
-  /// Appends a forward-cell descriptor op (body generated at lowering).
-  void add_cell_op(std::vector<taskrt::Access> accesses, taskrt::TaskSpec spec,
-                   passes::CellInfo cell);
-  /// Generates the executable body of a (possibly rewritten) forward cell.
-  [[nodiscard]] std::function<void()> make_cell_fn(passes::CellInfo ci);
-  /// Adds one op to the TaskGraph, splitting it into intra-op chunks when
+  /// Adds one task to the TaskGraph, splitting it into intra-op chunks when
   /// emulating intra-op-parallel frameworks (shape-only graphs).
-  void lower_one(std::function<void()> fn,
-                 std::vector<taskrt::Access>& accesses, taskrt::TaskSpec spec,
-                 bool chunkable);
+  void add_task(std::function<void()> fn, std::vector<taskrt::Access> accesses,
+                taskrt::TaskSpec spec, bool chunkable, int gemms = 0);
 
   const void* fresh_token() {
     tokens_.push_back(0);
@@ -212,20 +159,12 @@ class TrainingProgram {
   rnn::NetworkGrads master_grads_;
   std::deque<char> tokens_;  // stable synthetic dependency addresses
 
-  // Intermediate form: filled by build(), rewritten by run_passes(),
-  // consumed (and cleared) by lower().
-  passes::OpList ops_;
-  passes::PassReport pass_report_;
   std::size_t gemm_launches_ = 0;
-  // Sequence-wide input projections, indexed rep * 2 + dir (null until the
-  // precompute pass asks for them).
-  std::vector<std::unique_ptr<PrecompBuf>> precomp_;
 
   // Shape-only mode: one synthetic-address arena per replica (the inner
   // buffers never move; only their data pointers are handed out).
   std::vector<std::vector<char>> arenas_;
   std::vector<std::size_t> grads_bases_;  // per replica, into its arena
-  std::vector<std::size_t> x_bases_;      // per replica, into its arena
   // Per-layer forward barrier tokens of the replica currently being built.
   std::vector<const void*> fwd_tokens_;
 };

@@ -103,9 +103,8 @@ class ReadyFn {
 }  // namespace
 
 char TaskRecord::direction() const {
-  std::size_t i = 0;
-  if (name.size() >= 2 && name[0] == 'x') i = 1;  // precompute: xf0.c0 / xr0.c1
-  if (i + 1 < name.size() && name[i] == 'b') ++i;  // backward pass: bf / br
+  // Backward-pass names carry a 'b' prefix: bf / br.
+  const std::size_t i = name.size() > 1 && name[0] == 'b' ? 1 : 0;
   if (i + 1 < name.size() && (name[i] == 'f' || name[i] == 'r') &&
       name[i + 1] >= '0' && name[i + 1] <= '9') {
     return name[i];

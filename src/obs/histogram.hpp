@@ -1,5 +1,5 @@
 // Weighted fixed-bin histogram — the one binning implementation shared by
-// the Fig. 7 IPC / MPKI distributions (via the perf::Histogram alias) and
+// the Fig. 7 IPC / MPKI distributions (sim::SimResult) and
 // the obs metrics registry's HistogramCells.
 #pragma once
 

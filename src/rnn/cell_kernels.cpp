@@ -90,24 +90,16 @@ void lstm_pointwise(const LayerParams& p, ConstMatrixView c_prev,
 
 void lstm_forward(const LayerParams& p, const kernels::QuantizedMatrix* qw,
                   ConstMatrixView x, ConstMatrixView h_prev,
-                  ConstMatrixView c_prev, const CellTapeViews& tape,
-                  const CellForwardOpts& o) {
+                  ConstMatrixView c_prev, const CellTapeViews& tape) {
   // gates = x * Wx^T + h_prev * Wh^T (+ b inside the pointwise stage).
-  // The input half may come precomputed sequence-wide; the recurrent GEMM
-  // then accumulates on top (beta=1) in the same order as the plain path.
-  if (o.precomp.data != nullptr) {
-    tensor::copy(o.precomp, tape.gates);
-  } else if (qw != nullptr) {
+  if (qw != nullptr) {
     kernels::qgemm_nt(x, qw->view().block(0, 0, qw->rows(), p.input_size),
                       tape.gates);
-  } else {
-    gemm_nt(x, p.w_input(), tape.gates);
-  }
-  if (qw != nullptr) {
     kernels::qgemm_nt(
         h_prev, qw->view().block(0, p.input_size, qw->rows(), p.hidden_size),
         tape.gates, 1.0F);
   } else {
+    gemm_nt(x, p.w_input(), tape.gates);
     gemm_nt(h_prev, p.w_recurrent(), tape.gates, 1.0F, 1.0F);
   }
   lstm_pointwise(p, c_prev, tape);
@@ -164,33 +156,21 @@ void gru_hbar_pointwise(const LayerParams& p, ConstMatrixView h_prev,
 
 void gru_forward(const LayerParams& p, const kernels::QuantizedMatrix* qw,
                  ConstMatrixView x, ConstMatrixView h_prev,
-                 const CellTapeViews& tape, const CellForwardOpts& o) {
+                 const CellTapeViews& tape) {
   const int batch = tape.gates.rows;
   const int hidden = p.hidden_size;
   MatrixView gates = tape.gates;
   MatrixView zr = gates.block(0, 0, batch, 2 * hidden);
   MatrixView hbar = gates.block(0, 2 * hidden, batch, hidden);
 
-  // Input-side contribution. The gate-fusion pass computes all three gate
-  // blocks with one 3H-wide GEMM; writing the candidate block before the
-  // z,r pointwise stage is value-identical — the blocks are disjoint and
-  // each output element's dot product is unchanged.
-  const bool input_done =
-      o.precomp.data != nullptr || o.fuse_gates;
-  if (o.precomp.data != nullptr) {
-    tensor::copy(o.precomp, gates);
-  } else if (o.fuse_gates) {
-    if (qw != nullptr) {
-      kernels::qgemm_nt(x, qw->view().block(0, 0, 3 * hidden, p.input_size),
-                        gates);
-    } else {
-      gemm_nt(x, p.w_input(), gates);
-    }
-  } else if (qw != nullptr) {
-    kernels::qgemm_nt(x, qw->view().block(0, 0, 2 * hidden, p.input_size),
-                      zr);
+  // Input side: one 3H-wide GEMM across z, r and h̄ (the wide-gate input
+  // GEMM of Appleyard et al.). The h̄ block is written before the z,r
+  // pointwise stage runs; that stage reads and writes only the z,r block.
+  if (qw != nullptr) {
+    kernels::qgemm_nt(x, qw->view().block(0, 0, 3 * hidden, p.input_size),
+                      gates);
   } else {
-    gemm_nt(x, p.w.cview().block(0, 0, 2 * hidden, p.input_size), zr);
+    gemm_nt(x, p.w_input(), gates);
   }
 
   // z, r recurrent half, then their pointwise stage (also builds rh).
@@ -204,17 +184,7 @@ void gru_forward(const LayerParams& p, const kernels::QuantizedMatrix* qw,
   }
   gru_zr_pointwise(p, h_prev, tape);
 
-  // Candidate block: input half (unless already written above), then the
-  // recurrent half against rh = r ⊙ h_prev.
-  if (!input_done) {
-    if (qw != nullptr) {
-      kernels::qgemm_nt(
-          x, qw->view().block(2 * hidden, 0, hidden, p.input_size), hbar);
-    } else {
-      gemm_nt(x, p.w.cview().block(2 * hidden, 0, hidden, p.input_size),
-              hbar);
-    }
-  }
+  // Candidate block's recurrent half against rh = r ⊙ h_prev.
   if (qw != nullptr) {
     kernels::qgemm_nt(
         tape.rh, qw->view().block(2 * hidden, p.input_size, hidden, hidden),
@@ -362,12 +332,34 @@ void gru_backward(const LayerParams& p, ConstMatrixView x,
   gemm_nn(dg_zr.cview(), w_zr_h, dh_prev_acc, 1.0F, 1.0F);
 }
 
+/// Shared fp32/int8 forward entry: a non-null `qw` routes every gate GEMM
+/// through the int8 path.
+void forward(const LayerParams& p, const kernels::QuantizedMatrix* qw,
+             ConstMatrixView x, ConstMatrixView h_prev,
+             ConstMatrixView c_prev, const CellTapeViews& tape) {
+  BPAR_SPAN("rnn.cell_forward");
+  BPAR_CHECK(x.cols == p.input_size, "cell input width ", x.cols,
+             " != layer input size ", p.input_size);
+  BPAR_CHECK(h_prev.rows == x.rows && h_prev.cols == p.hidden_size,
+             "h_prev shape mismatch");
+  if (qw != nullptr) {
+    BPAR_CHECK(qw->rows() == p.w.rows() && qw->cols() == p.w.cols(),
+               "quantized weight shape mismatch");
+  }
+  if (p.cell == CellType::kLstm) {
+    BPAR_CHECK(c_prev.data != nullptr, "LSTM needs c_prev");
+    lstm_forward(p, qw, x, h_prev, c_prev, tape);
+  } else {
+    gru_forward(p, qw, x, h_prev, tape);
+  }
+}
+
 }  // namespace
 
 void cell_forward(const LayerParams& p, ConstMatrixView x,
                   ConstMatrixView h_prev, ConstMatrixView c_prev,
                   const CellTapeViews& tape) {
-  cell_forward_ex(p, nullptr, x, h_prev, c_prev, tape, {});
+  forward(p, nullptr, x, h_prev, c_prev, tape);
 }
 
 void cell_forward_quantized(const LayerParams& p,
@@ -375,34 +367,7 @@ void cell_forward_quantized(const LayerParams& p,
                             ConstMatrixView x, ConstMatrixView h_prev,
                             ConstMatrixView c_prev,
                             const CellTapeViews& tape) {
-  cell_forward_ex(p, &qw, x, h_prev, c_prev, tape, {});
-}
-
-void cell_forward_ex(const LayerParams& p, const kernels::QuantizedMatrix* qw,
-                     ConstMatrixView x, ConstMatrixView h_prev,
-                     ConstMatrixView c_prev, const CellTapeViews& tape,
-                     const CellForwardOpts& opts) {
-  BPAR_SPAN("rnn.cell_forward");
-  if (opts.precomp.data != nullptr) {
-    BPAR_CHECK(opts.precomp.rows == h_prev.rows &&
-                   opts.precomp.cols == tape.gates.cols,
-               "precomputed projection shape mismatch");
-  } else {
-    BPAR_CHECK(x.cols == p.input_size, "cell input width ", x.cols,
-               " != layer input size ", p.input_size);
-    BPAR_CHECK(h_prev.rows == x.rows, "h_prev shape mismatch");
-  }
-  BPAR_CHECK(h_prev.cols == p.hidden_size, "h_prev shape mismatch");
-  if (qw != nullptr) {
-    BPAR_CHECK(qw->rows() == p.w.rows() && qw->cols() == p.w.cols(),
-               "quantized weight shape mismatch");
-  }
-  if (p.cell == CellType::kLstm) {
-    BPAR_CHECK(c_prev.data != nullptr, "LSTM needs c_prev");
-    lstm_forward(p, qw, x, h_prev, c_prev, tape, opts);
-  } else {
-    gru_forward(p, qw, x, h_prev, tape, opts);
-  }
+  forward(p, &qw, x, h_prev, c_prev, tape);
 }
 
 void cell_backward(const LayerParams& p, ConstMatrixView x,

@@ -18,10 +18,6 @@
 #include "rnn/layer_params.hpp"
 #include "tensor/tensor.hpp"
 
-namespace bpar::kernels {
-class QuantizedMatrix;
-}
-
 namespace bpar::rnn {
 
 /// Mutable views over a cell's forward-state buffers. Row-sliceable, so the
@@ -59,30 +55,12 @@ struct CellTape {
   [[nodiscard]] ConstCellTapeViews cviews() const;
 };
 
-/// Optimizer-pass rewrites of the forward path (graph/passes, DESIGN §5k).
-struct CellForwardOpts {
-  /// GRU: one 3H-wide input-side GEMM across z, r and h̄ instead of two
-  /// (the LSTM input GEMM is already a single 4H-wide launch).
-  bool fuse_gates = false;
-  /// Non-empty → x·Wx^T was precomputed sequence-wide; this view holds this
-  /// timestep's B x G*H rows and `x` may be {}. The recurrent GEMMs then
-  /// accumulate on top with beta=1 — the same order as the unfused path,
-  /// so results stay bit-exact.
-  tensor::ConstMatrixView precomp;
-};
-
 /// Forward update of one cell. For GRU, `c_prev` is ignored (pass {}).
+/// The input side is one G*H-wide GEMM for both cell types (for GRU it
+/// spans z, r and h̄); the recurrent side follows, accumulating on top.
 void cell_forward(const LayerParams& p, tensor::ConstMatrixView x,
                   tensor::ConstMatrixView h_prev,
                   tensor::ConstMatrixView c_prev, const CellTapeViews& tape);
-
-/// Forward update with pass options; a non-null `qw` routes every gate GEMM
-/// through the int8 path (inference only — see rnn/quantized.hpp).
-void cell_forward_ex(const LayerParams& p, const kernels::QuantizedMatrix* qw,
-                     tensor::ConstMatrixView x,
-                     tensor::ConstMatrixView h_prev,
-                     tensor::ConstMatrixView c_prev, const CellTapeViews& tape,
-                     const CellForwardOpts& opts);
 
 /// Convenience overload writing a whole owned tape.
 inline void cell_forward(const LayerParams& p, tensor::ConstMatrixView x,

@@ -193,8 +193,7 @@ InferenceEngine::InferenceEngine(const rnn::NetworkConfig& config,
           net_,
           exec::BParOptions{.common = options.executor,
                             .record_trace = options.record_trace,
-                            .quantized_inference = options.quantized,
-                            .passes = options.passes})),
+                            .quantized_inference = options.quantized})),
       started_(Clock::now()),
       native_backend_(kernels::active_backend_name()),
       slo_(options.slo) {
@@ -640,8 +639,7 @@ exec::BParExecutor& InferenceEngine::active_executor() {
       fp32_executor_ = std::make_unique<exec::BParExecutor>(
           net_, exec::BParOptions{.common = options_.executor,
                                   .record_trace = options_.record_trace,
-                                  .quantized_inference = false,
-                                  .passes = options_.passes});
+                                  .quantized_inference = false});
     }
     return *fp32_executor_;
   }
@@ -657,8 +655,7 @@ std::string InferenceEngine::try_execute(const rnn::BatchData& batch,
       // Benchmark mode: pay graph construction on every batch.
       exec::BParExecutor fresh(
           net_, exec::BParOptions{.common = options_.executor,
-                                  .quantized_inference = options_.quantized,
-                                  .passes = options_.passes});
+                                  .quantized_inference = options_.quantized});
       result = fresh.infer(batch, {.want_logits = need_logits});
     } else {
       exec::BParExecutor& executor = active_executor();
@@ -945,8 +942,7 @@ void InferenceEngine::rebuild_executor() {
     executor_ = std::make_unique<exec::BParExecutor>(
         net_, exec::BParOptions{.common = options_.executor,
                                 .record_trace = options_.record_trace,
-                                .quantized_inference = options_.quantized,
-                                .passes = options_.passes});
+                                .quantized_inference = options_.quantized});
   }
 }
 

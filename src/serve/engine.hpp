@@ -109,9 +109,6 @@ struct EngineOptions {
   /// int8 inference (DESIGN.md §5g): serve with quantized weights.
   /// load_weights() re-quantizes automatically.
   bool quantized = false;
-  /// Graph-optimizer pass spec forwarded to the executor ("default"
-  /// resolves BPAR_GRAPH_PASSES; "none" serves unoptimized graphs).
-  std::string passes = "default";
 
   // ---- resilience (DESIGN.md §5h) ----
   /// Per-class queue quotas, indexed by Priority: how many of the

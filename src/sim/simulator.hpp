@@ -18,7 +18,7 @@
 #include <span>
 #include <vector>
 
-#include "perf/histogram.hpp"
+#include "obs/histogram.hpp"
 #include "sim/machine.hpp"
 #include "taskrt/runtime.hpp"
 #include "taskrt/task_graph.hpp"
@@ -26,7 +26,7 @@
 namespace bpar::sim {
 
 struct SimOptions {
-  MachineModel machine;
+  MachineModel machine{};
   taskrt::SchedulerPolicy policy = taskrt::SchedulerPolicy::kFifo;
   int cores = 0;  // 0 → machine.cores
   /// Record per-task (start, end, core) tuples — exportable with
@@ -56,8 +56,8 @@ struct SimResult {
 
   double avg_ipc = 0.0;   // time-weighted
   double avg_mpki = 0.0;  // time-weighted
-  perf::Histogram ipc_hist{{0.5, 1.0, 1.5, 2.0}};
-  perf::Histogram mpki_hist{{10.0, 20.0, 30.0}};
+  obs::Histogram ipc_hist{{0.5, 1.0, 1.5, 2.0}};
+  obs::Histogram mpki_hist{{10.0, 20.0, 30.0}};
 
   double peak_working_set_bytes = 0.0;  // max over time of sum of running WS
   double avg_working_set_bytes = 0.0;   // time-weighted

@@ -33,8 +33,6 @@ const char* task_kind_name(TaskKind kind) {
       return "cell_fwd_fused";
     case TaskKind::kInputPrecompute:
       return "input_precompute";
-    case TaskKind::kCoarsened:
-      return "coarsened";
   }
   return "unknown";
 }

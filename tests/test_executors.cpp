@@ -8,6 +8,7 @@
 // reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -149,7 +150,7 @@ TEST_P(ExecutorEquivalence, AllExecutorsMatchSequential) {
   add("bpar_fused_merge", [](rnn::Network& n) {
     return std::make_unique<BParExecutor>(
         n, exec::BParOptions{.common = {.num_workers = 4},
-                             .fuse_merge = true});
+                             .schedule_profile = "fused_merge"});
   });
   add("bpar_w4_pinned", [](rnn::Network& n) {
     return std::make_unique<BParExecutor>(
@@ -239,7 +240,108 @@ INSTANTIATE_TEST_SUITE_P(
         make_case(CellType::kGru, MergeOp::kConcat, false, 5, 1, 7),
         make_case(CellType::kLstm, MergeOp::kSum, false, 2, 8, 3),
         make_case(CellType::kGru, MergeOp::kAverage, true, 4, 2, 5)),
-    [](const auto& info) { return info.param.tag; });
+    [](const auto& param_info) { return param_info.param.tag; });
+
+// Bitwise parity: where two executors perform the same float operations in
+// the same order, results must match exactly, not just within a tolerance.
+// B-Par mbs:2 reduces replica gradients in the same order as B-Seq mbs:2;
+// B-Par mbs:1 runs the reference pass's kernels cell by cell; inference
+// rows are independent, so a different replica split cannot change a
+// logit. Losses are compared with EXPECT_DOUBLE_EQ where the replica
+// counts differ, because the per-replica terms are summed in another order.
+void expect_grads_equal(rnn::NetworkGrads& a, rnn::NetworkGrads& b,
+                        const NetworkConfig& cfg) {
+  for (int dir = 0; dir < 2; ++dir) {
+    for (int l = 0; l < cfg.num_layers; ++l) {
+      const auto& ga = a.layers[dir][static_cast<std::size_t>(l)];
+      const auto& gb = b.layers[dir][static_cast<std::size_t>(l)];
+      EXPECT_EQ(tensor::max_abs_diff(ga.dw.cview(), gb.dw.cview()), 0.0F)
+          << "dW dir " << dir << " layer " << l;
+      EXPECT_EQ(tensor::max_abs_diff(ga.db.cview(), gb.db.cview()), 0.0F)
+          << "db dir " << dir << " layer " << l;
+    }
+  }
+  EXPECT_EQ(tensor::max_abs_diff(a.dw_out.cview(), b.dw_out.cview()), 0.0F);
+  EXPECT_EQ(tensor::max_abs_diff(a.db_out.cview(), b.db_out.cview()), 0.0F);
+}
+
+class BitwiseParity : public ::testing::TestWithParam<EquivCase> {};
+
+TEST_P(BitwiseParity, BParTrainingMatchesBSeq) {
+  const NetworkConfig& cfg = GetParam().cfg;
+  const BatchData batch = make_batch(cfg, 555);
+  const int replicas = std::min(2, cfg.batch_size);
+
+  rnn::Network ref_net(cfg);
+  BSeqExecutor ref(ref_net,
+                   {.common = {.num_workers = 4, .num_replicas = replicas}});
+  const double ref_loss = ref.train_batch(batch).loss;
+
+  rnn::Network net(cfg);
+  BParExecutor bpar(net,
+                    {.common = {.num_workers = 4, .num_replicas = replicas}});
+  EXPECT_DOUBLE_EQ(bpar.train_batch(batch).loss, ref_loss);
+  expect_grads_equal(bpar.grads(), ref.grads(), cfg);
+}
+
+TEST_P(BitwiseParity, BParSingleReplicaMatchesSequential) {
+  const NetworkConfig& cfg = GetParam().cfg;
+  const BatchData batch = make_batch(cfg, 556);
+
+  rnn::Network ref_net(cfg);
+  SequentialExecutor ref(ref_net);
+  const double ref_loss = ref.train_batch(batch).loss;
+
+  rnn::Network net(cfg);
+  BParExecutor bpar(net, {.common = {.num_workers = 4}});
+  EXPECT_EQ(bpar.train_batch(batch).loss, ref_loss);
+  expect_grads_equal(bpar.grads(), ref.grads(), cfg);
+}
+
+TEST_P(BitwiseParity, Fp32InferenceMatchesSequential) {
+  const NetworkConfig& cfg = GetParam().cfg;
+  const BatchData batch = make_batch(cfg, 666);
+
+  rnn::Network ref_net(cfg);
+  SequentialExecutor ref(ref_net);
+  const exec::InferResult expected = ref.infer(batch, {.want_logits = true});
+
+  rnn::Network net(cfg);
+  BParExecutor bpar(net, {.common = {.num_workers = 4, .num_replicas = 2}});
+  const exec::InferResult result = bpar.infer(batch, {.want_logits = true});
+  EXPECT_DOUBLE_EQ(result.loss, expected.loss);
+  EXPECT_EQ(result.predictions, expected.predictions);
+  EXPECT_EQ(result.logits, expected.logits);
+}
+
+TEST_P(BitwiseParity, Int8InferenceMatchesSingleWorker) {
+  const NetworkConfig& cfg = GetParam().cfg;
+  const BatchData batch = make_batch(cfg, 777);
+
+  rnn::Network ref_net(cfg);
+  BParExecutor ref(ref_net, {.common = {.num_workers = 1},
+                             .quantized_inference = true});
+  const exec::InferResult expected = ref.infer(batch, {.want_logits = true});
+
+  rnn::Network net(cfg);
+  BParExecutor bpar(net, {.common = {.num_workers = 4, .num_replicas = 2},
+                          .quantized_inference = true});
+  const exec::InferResult result = bpar.infer(batch, {.want_logits = true});
+  EXPECT_DOUBLE_EQ(result.loss, expected.loss);
+  EXPECT_EQ(result.predictions, expected.predictions);
+  EXPECT_EQ(result.logits, expected.logits);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OddShapes, BitwiseParity,
+    ::testing::Values(
+        make_case(CellType::kLstm, MergeOp::kConcat, false, 2, 7, 5),
+        make_case(CellType::kGru, MergeOp::kConcat, false, 2, 7, 5),
+        make_case(CellType::kLstm, MergeOp::kConcat, true, 3, 5, 3),
+        make_case(CellType::kGru, MergeOp::kConcat, true, 3, 5, 3),
+        make_case(CellType::kLstm, MergeOp::kConcat, false, 1, 1, 1),
+        make_case(CellType::kGru, MergeOp::kConcat, false, 4, 3, 7)),
+    [](const auto& param_info) { return param_info.param.tag; });
 
 TEST(ExecutorDeterminism, RepeatedBParRunsAreBitwiseIdentical) {
   const NetworkConfig cfg = make_case(CellType::kLstm, MergeOp::kConcat,

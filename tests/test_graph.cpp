@@ -156,7 +156,7 @@ TEST(GraphStructure, FuseMergeCouplesDirections) {
   rnn::Network net(cfg);
   TrainingProgram separate(net, cfg.batch_size, {});
   BuildOptions fused_opts;
-  fused_opts.fuse_merge = true;  // deprecated shim — kept as coverage
+  fused_opts.schedule_profile = "fused_merge";
   TrainingProgram fused(net, cfg.batch_size, fused_opts);
   // Fused merges serialize fwd cells behind the full reverse chain → a
   // strictly longer critical path (that's why B-Par keeps merges separate).
