@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
       s.cores = cores;
       const double separate = bench::simulate_bpar(net, s, replicas);
       const double fused =
-          bench::simulate_bpar(net, s, replicas, nullptr, "fused_merge");
+          bench::simulate_bpar(net, s, replicas, nullptr,
+                               bpar::graph::Schedule::kFusedMerge);
       table.add_row({std::to_string(layers), std::to_string(cores),
                      bpar::util::fmt_ms(separate), bpar::util::fmt_ms(fused),
                      bpar::util::fmt_speedup(fused / separate)});

@@ -65,12 +65,12 @@ Calibration resolve_calibration(const bpar::util::ArgParser& args) {
 
 double simulate_bpar(bpar::rnn::Network& net, const SimSetup& setup,
                      int replicas, SimResult* result,
-                     const std::string& schedule_profile) {
+                     bpar::graph::Schedule schedule) {
   BuildOptions bo;
   bo.num_replicas = std::min(replicas, net.config().batch_size);
   bo.training = setup.training;
   bo.executable = false;
-  bo.schedule_profile = schedule_profile;
+  bo.schedule = schedule;
   TrainingProgram program(net, net.config().batch_size, bo);
   const auto costs =
       bpar::sim::modeled_costs(program.graph(), setup.calibration);

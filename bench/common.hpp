@@ -47,13 +47,12 @@ struct SimSetup {
 };
 
 /// Simulated per-batch time (ms) of B-Par with `replicas` mini-batches.
-/// Optionally returns the full simulator result. `schedule_profile` picks
-/// an ablation schedule ("fused_merge", "layer_barriers", "sequential",
-/// "framework").
-[[nodiscard]] double simulate_bpar(bpar::rnn::Network& net,
-                                   const SimSetup& setup, int replicas,
-                                   bpar::sim::SimResult* result = nullptr,
-                                   const std::string& schedule_profile = "");
+/// Optionally returns the full simulator result. `schedule` picks an
+/// ablation schedule.
+[[nodiscard]] double simulate_bpar(
+    bpar::rnn::Network& net, const SimSetup& setup, int replicas,
+    bpar::sim::SimResult* result = nullptr,
+    bpar::graph::Schedule schedule = bpar::graph::Schedule::kBPar);
 
 /// Simulated per-batch time (ms) of B-Seq (data parallelism only).
 [[nodiscard]] double simulate_bseq(const bpar::rnn::NetworkConfig& cfg,

@@ -58,52 +58,47 @@ void BM_RuntimeEmptyTasks(benchmark::State& state) {
 BENCHMARK(BM_RuntimeEmptyTasks)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
 
 // Per-task dispatch overhead with every worker contending for the
-// scheduler: tiny independent tasks submitted dynamically. This is the
-// quantity the Fig. 4 core-scaling claim rests on.
-void BM_DispatchOverheadDynamic(benchmark::State& state) {
+// scheduler: a prebuilt graph of tiny independent tasks, run once per
+// iteration. This is the quantity the Fig. 4 core-scaling claim rests on.
+TaskGraph independent_spin_tasks(int count) {
+  TaskGraph g;
+  for (int i = 0; i < count; ++i) {
+    g.add(
+        [] {
+          volatile int spin = 0;
+          for (int j = 0; j < 64; ++j) spin = spin + j;
+        },
+        {});
+  }
+  return g;
+}
+
+void BM_DispatchOverhead(benchmark::State& state) {
   const auto workers = static_cast<int>(state.range(0));
   Runtime rt({.num_workers = workers,
               .policy = SchedulerPolicy::kLocalityAware});
   constexpr int kTasks = 2000;
-  for (auto _ : state) {
-    bpar::taskrt::TaskGraph g;
-    rt.begin(g);
-    for (int i = 0; i < kTasks; ++i) {
-      rt.submit([] {
-        volatile int spin = 0;
-        for (int j = 0; j < 64; ++j) spin = spin + j;
-      });
-    }
-    rt.end();
-  }
+  TaskGraph g = independent_spin_tasks(kTasks);
+  for (auto _ : state) rt.run(g);
   state.SetItemsProcessed(state.iterations() * kTasks);
 }
-BENCHMARK(BM_DispatchOverheadDynamic)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_DispatchOverhead)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
 
 // Same workload with span tracing armed: the delta against the benchmark
 // above is the telemetry layer's dispatch-path cost (budget: <5% with
 // tracing on, 0% when compiled out via BPAR_NO_TRACING).
-void BM_DispatchOverheadDynamicTraced(benchmark::State& state) {
+void BM_DispatchOverheadTraced(benchmark::State& state) {
   const auto workers = static_cast<int>(state.range(0));
   bpar::obs::set_tracing_enabled(true);
   Runtime rt({.num_workers = workers,
               .policy = SchedulerPolicy::kLocalityAware});
   constexpr int kTasks = 2000;
-  for (auto _ : state) {
-    bpar::taskrt::TaskGraph g;
-    rt.begin(g);
-    for (int i = 0; i < kTasks; ++i) {
-      rt.submit([] {
-        volatile int spin = 0;
-        for (int j = 0; j < 64; ++j) spin = spin + j;
-      });
-    }
-    rt.end();
-  }
+  TaskGraph g = independent_spin_tasks(kTasks);
+  for (auto _ : state) rt.run(g);
   bpar::obs::set_tracing_enabled(false);
   state.SetItemsProcessed(state.iterations() * kTasks);
 }
-BENCHMARK(BM_DispatchOverheadDynamicTraced)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_DispatchOverheadTraced)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_RuntimeChainLatency(benchmark::State& state) {
   Runtime rt({.num_workers = 2,

@@ -28,7 +28,8 @@ int main(int argc, char** argv) {
   bpar::sim::SimResult barriered;
   const double free_ms = bench::simulate_bpar(net, setup, 6, &barrier_free);
   const double barrier_ms =
-      bench::simulate_bpar(net, setup, 6, &barriered, "framework");
+      bench::simulate_bpar(net, setup, 6, &barriered,
+                               bpar::graph::Schedule::kFramework);
 
   const double mb = 1024.0 * 1024.0;
   bpar::util::Table table(

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   args.add_string("trace", "bpar_trace.json",
                   "Chrome-tracing output path (empty = skip)");
   args.add_flag("barriers",
-                "emulate per-layer barriers (schedule profile 'framework')");
+                "emulate per-layer barriers (Schedule::kFramework)");
   if (!args.parse(argc, argv)) return 1;
 
   bpar::rnn::NetworkConfig cfg;
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   bpar::rnn::Network net(cfg);
 
   bpar::graph::BuildOptions bo;
-  if (args.flag("barriers")) bo.schedule_profile = "framework";
+  if (args.flag("barriers")) bo.schedule = bpar::graph::Schedule::kFramework;
   bpar::graph::TrainingProgram program(net, cfg.batch_size, bo);
   const auto& graph = program.graph();
 

@@ -38,7 +38,7 @@ graph::BuildOptions baseline_build_options(const FrameworkProfile& profile,
   bo.num_replicas = 1;
   bo.training = training;
   bo.executable = false;
-  bo.schedule_profile = "framework";  // per-layer barriers + sequential dirs
+  bo.schedule = graph::Schedule::kFramework;
   // A cell's GEMM can be split at most once per few batch rows.
   const int by_rows = std::max(1, batch_rows / 4);
   bo.intra_op_chunks =

@@ -59,7 +59,7 @@ graph::TrainingProgram& BParExecutor::program(bool training, int seq_length,
     // degrade gracefully to fewer (or one) replica.
     bo.num_replicas = std::min(options_.common.num_replicas, rows);
     bo.training = training;
-    bo.schedule_profile = options_.schedule_profile;
+    bo.schedule = options_.schedule;
     bo.compute_input_grads = options_.compute_input_grads;
     bo.seq_length_override = steps;
     if (!training && options_.quantized_inference) {

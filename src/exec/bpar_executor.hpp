@@ -35,10 +35,8 @@ struct BParOptions {
   /// fp32 dequantization at the activation boundary. Training always stays
   /// fp32. Call refresh_quantized_weights() after mutating the Network.
   bool quantized_inference = false;
-  /// Schedule shape forwarded to BuildOptions::schedule_profile ("" =
-  /// free-running B-Par; "fused_merge" is the merge-fusion ablation,
-  /// baseline emulations use "framework" etc.).
-  std::string schedule_profile{};
+  /// Schedule shape forwarded to BuildOptions::schedule.
+  graph::Schedule schedule = graph::Schedule::kBPar;
 };
 
 class BParExecutor final : public Executor {

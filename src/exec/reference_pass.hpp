@@ -30,10 +30,6 @@ void backward_pass(const rnn::Network& net, rnn::Workspace& ws,
                    const rnn::BatchData& batch, int r0, int total_batch,
                    rnn::NetworkGrads& grads);
 
-/// Argmax predictions from the workspace's probs (after forward_pass).
-/// `out` has ws.batch() entries for many-to-one, steps*batch otherwise.
-void extract_predictions(const rnn::Workspace& ws, std::span<int> out);
-
 /// Sizes `result`'s shape fields and output buffers for a `total_batch`-row
 /// batch of `ws`'s configuration (logits allocated only when requested).
 void init_infer_outputs(const rnn::Workspace& ws, int total_batch,

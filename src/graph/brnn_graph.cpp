@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "kernels/elementwise.hpp"
@@ -163,27 +162,6 @@ struct TrainingProgram::ReplicaCtx {
   }
 };
 
-void TrainingProgram::resolve_schedule() {
-  const std::string& p = opts_.schedule_profile;
-  if (p.empty() || p == "bpar") {
-    // free-running B-Par schedule
-  } else if (p == "fused_merge") {
-    sched_.fuse_merge = true;
-  } else if (p == "layer_barriers") {
-    sched_.per_layer_barriers = true;
-  } else if (p == "sequential") {
-    sched_.sequential_directions = true;
-  } else if (p == "framework") {
-    sched_.per_layer_barriers = true;
-    sched_.sequential_directions = true;
-  } else {
-    std::fprintf(stderr,
-                 "[bpar] warning: unknown schedule_profile \"%s\"; "
-                 "using \"bpar\"\n",
-                 p.c_str());
-  }
-}
-
 TrainingProgram::TrainingProgram(rnn::Network& net, int total_batch,
                                  BuildOptions opts)
     : net_(net), cfg_(net.config()), opts_(std::move(opts)),
@@ -192,7 +170,6 @@ TrainingProgram::TrainingProgram(rnn::Network& net, int total_batch,
   if (opts_.seq_length_override > 0) {
     cfg_.seq_length = opts_.seq_length_override;
   }
-  resolve_schedule();
   const NetworkConfig& cfg = cfg_;
   BPAR_CHECK(total_batch_ > 0, "total batch must be positive");
   BPAR_CHECK(opts_.num_replicas >= 1, "need >= 1 replica");
@@ -400,7 +377,7 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
   };
 
   auto fwd_barrier_in = [&](std::vector<Access>& acc) {
-    if (sched_.per_layer_barriers && l > 0) {
+    if (framework_schedule() && l > 0) {
       acc.push_back(in(fwd_tokens_[static_cast<std::size_t>(l - 1)]));
     }
   };
@@ -421,12 +398,12 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
       if (s > 0) acc.push_back(in(ctx.addr_h(dir, l, s - 1)));
       acc.push_back(in(l == 0 ? ctx.addr_x(ti) : ctx.addr_merged(l - 1, ti)));
       fwd_barrier_in(acc);
-      if (sched_.sequential_directions && dir == 1 && s == 0) {
+      if (framework_schedule() && dir == 1 && s == 0) {
         // Framework emulation: the reverse sweep starts only after the
         // forward sweep of the same layer finished.
         acc.push_back(in(ctx.addr_h(0, l, steps - 1)));
       }
-      const bool fused_merge = sched_.fuse_merge && dir == 0 &&
+      const bool fused_merge = fuses_merge() && dir == 0 &&
                                l < ctx.merged_layers();
       if (fused_merge) {
         // Ablation: the forward cell also computes merge(l, t) and thus
@@ -467,7 +444,7 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
     }
   };
 
-  if (sched_.fuse_merge) {
+  if (fuses_merge()) {
     emit_cells(1);  // reverse first: fused forward cells read reverse h
     emit_cells(0);
   } else {
@@ -476,7 +453,7 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
   }
 
   // Merge tasks of this layer (kept separate — the core B-Par idea).
-  if (l < ctx.merged_layers() && !sched_.fuse_merge) {
+  if (l < ctx.merged_layers() && !fuses_merge()) {
     rnn::Workspace* ws = ctx.ws;
     for (int t = 0; t < steps; ++t) {
       std::vector<Access> acc{in(ctx.addr_h(0, l, t)),
@@ -505,7 +482,7 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
 
   // Per-layer barrier (framework emulation): gate the next layer on every
   // merged output of this one.
-  if (sched_.per_layer_barriers && l < ctx.merged_layers()) {
+  if (framework_schedule() && l < ctx.merged_layers()) {
     std::vector<Access> acc;
     for (int t = 0; t < steps; ++t) acc.push_back(in(ctx.addr_merged(l, t)));
     acc.push_back(out(fwd_tokens_[static_cast<std::size_t>(l)]));
@@ -717,7 +694,7 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
   // Backward per-layer barrier (framework emulation): the merge-backward
   // tasks of layer l wait until layer l+1's backward fully drained.
   const void* bwd_token = nullptr;
-  if (sched_.per_layer_barriers && l < ctx.merged_layers()) {
+  if (framework_schedule() && l < ctx.merged_layers()) {
     std::vector<Access> acc;
     for (int t = 0; t < steps; ++t) {
       acc.push_back(in(ctx.addr_dmerged(0, l, t)));
@@ -735,7 +712,7 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
 
   // Merge backward tasks: both directions' dmerged halves → dh of both
   // directions.
-  if (l < ctx.merged_layers() && !sched_.fuse_merge) {
+  if (l < ctx.merged_layers() && !fuses_merge()) {
     for (int t = steps - 1; t >= 0; --t) {
       std::vector<Access> acc{in(ctx.addr_dmerged(0, l, t)),
                               in(ctx.addr_dmerged(1, l, t)),
@@ -780,7 +757,7 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
     const int gemms = (lstm ? 3 : 6) + (input_grads ? (lstm ? 1 : 2) : 0);
     for (int s = steps - 1; s >= 0; --s) {
       const int ti = dir == 0 ? s : steps - 1 - s;
-      const bool fused_merge = sched_.fuse_merge && dir == 0 &&
+      const bool fused_merge = fuses_merge() && dir == 0 &&
                                l < ctx.merged_layers();
       std::vector<Access> acc;
       // The fused-merge ablation also *writes* this dh (merge backward

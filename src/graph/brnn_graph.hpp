@@ -18,8 +18,8 @@
 // timestep, the form the paper describes. A forward cell runs one wide
 // input-side gate GEMM (rnn/cell_kernels.hpp) for both cell types.
 //
-// Baseline schedules (per-layer barriers, sequential directions, fused
-// merge) are selected with `BuildOptions::schedule_profile`; see
+// Baseline schedules (per-layer barriers with sequential directions, fused
+// merge) are selected with `BuildOptions::schedule`; see
 // exec/baseline_profiles.hpp.
 //
 // The same program can be re-run for many batches: `load_batch` copies new
@@ -44,6 +44,14 @@ class QuantizedNetwork;
 
 namespace bpar::graph {
 
+/// Schedule shape of the built graph.
+enum class Schedule {
+  kBPar,        // free-running task schedule (the paper's B-Par)
+  kFusedMerge,  // merge folded into forward cells (the merge-fusion ablation)
+  kFramework,   // per-layer barriers + sequential directions: the
+                // Keras/PyTorch emulation
+};
+
 struct BuildOptions {
   int num_replicas = 1;   // mini-batch count (the paper's mbs:N)
   /// Override the network config's sequence length (0 = use the config's).
@@ -65,11 +73,7 @@ struct BuildOptions {
   /// program and be refreshed whenever the Network's weights change.
   const rnn::QuantizedNetwork* quantized = nullptr;
 
-  /// Named schedule shape: "" or "bpar" (default — free-running task
-  /// schedule), "fused_merge" (merge folded into forward cells, the
-  /// ablation), "layer_barriers", "sequential", "framework" (barriers +
-  /// sequential directions — the Keras/PyTorch emulation).
-  std::string schedule_profile;
+  Schedule schedule = Schedule::kBPar;
 };
 
 class TrainingProgram {
@@ -116,14 +120,12 @@ class TrainingProgram {
  private:
   struct ReplicaCtx;  // defined in the .cpp
 
-  // Resolved schedule shape.
-  struct Schedule {
-    bool per_layer_barriers = false;
-    bool sequential_directions = false;
-    bool fuse_merge = false;
-  };
-
-  void resolve_schedule();
+  [[nodiscard]] bool framework_schedule() const {
+    return opts_.schedule == Schedule::kFramework;
+  }
+  [[nodiscard]] bool fuses_merge() const {
+    return opts_.schedule == Schedule::kFusedMerge;
+  }
   void build();
   void build_replica(int rep);
   void build_forward_layer(ReplicaCtx& ctx, int l);
@@ -145,7 +147,6 @@ class TrainingProgram {
   rnn::Network& net_;
   rnn::NetworkConfig cfg_;  // net_.config() with overrides applied
   BuildOptions opts_;
-  Schedule sched_;
   int total_batch_;
   taskrt::TaskGraph graph_;
 

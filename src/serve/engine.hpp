@@ -320,9 +320,6 @@ class InferenceEngine {
   /// queued, and joins the dispatcher. Idempotent.
   void shutdown();
 
-  /// Deprecated spelling kept for callers of stats() from before the
-  /// resilience layer; EngineStats is the real name.
-  using Stats = EngineStats;
   [[nodiscard]] EngineStats stats() const;
   [[nodiscard]] std::size_t queue_depth() const;
   [[nodiscard]] Health health() const;

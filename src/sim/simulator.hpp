@@ -1,8 +1,8 @@
 // Discrete-event simulator: executes a TaskGraph on P virtual cores.
 //
 // This is the hardware substitution documented in DESIGN.md §4 — the
-// harness machine has a single physical core, so multi-core scalability
-// numbers are produced by replaying the *exact* task DAG (same dependency
+// development host has 4 vCPUs, so 48-core scalability numbers are
+// produced by replaying the *exact* task DAG (same dependency
 // edges, same scheduler policies as taskrt::Runtime) on a modeled
 // dual-socket Xeon (sim::MachineModel), with per-task costs either measured
 // from real single-core execution of the same task bodies or derived from

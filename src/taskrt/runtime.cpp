@@ -62,10 +62,6 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
   if (num_workers_ <= 0) num_workers_ = 1;
   steal_min_keep_ =
       options_.policy == SchedulerPolicy::kLocalityAware ? 1 : 0;
-  state_chunks_.reset(new std::atomic<TaskState*>[kMaxStateChunks]);
-  for (std::size_t c = 0; c < kMaxStateChunks; ++c) {
-    state_chunks_[c].store(nullptr, std::memory_order_relaxed);
-  }
   workers_ = std::make_unique<Worker[]>(static_cast<std::size_t>(num_workers_));
 
   // Intern every trace label up front; the hot path only loads these ids.
@@ -76,7 +72,6 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
   obs_steal_id_ = obs::intern_name("steal");
   obs_park_id_ = obs::intern_name("park");
   obs_fault_id_ = obs::intern_name("fault");
-  obs_taskwait_id_ = obs::intern_name("taskwait");
   obs_deque_depth_ids_.reserve(static_cast<std::size_t>(num_workers_));
   for (int w = 0; w < num_workers_; ++w) {
     obs_deque_depth_ids_.push_back(
@@ -129,54 +124,33 @@ Runtime::~Runtime() {
   }
   park_cv_.notify_all();
   for (auto& t : threads_) t.join();
-  for (std::size_t c = 0; c < kMaxStateChunks; ++c) {
-    delete[] state_chunks_[c].load(std::memory_order_relaxed);
-  }
 }
 
 std::uint64_t Runtime::now_ns() const {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - session_start_)
+          std::chrono::steady_clock::now() - run_start_)
           .count());
 }
 
-Runtime::TaskState& Runtime::init_state(TaskId id) {
-  const std::size_t chunk = id >> kStateChunkBits;
-  BPAR_CHECK(chunk < kMaxStateChunks, "session exceeds ",
-             kMaxStateChunks * kStateChunkSize, " tasks");
-  TaskState* base = state_chunks_[chunk].load(mo_relaxed);
-  if (base == nullptr) {
-    base = new TaskState[kStateChunkSize];
-    state_chunks_[chunk].store(base, mo_release);
-  }
-  TaskState& st = base[id & (kStateChunkSize - 1)];
-  const Task& task = graph_->task(id);
-  st.pending.store(0, mo_relaxed);
-  st.preferred.store(-1, mo_relaxed);
-  st.completed = false;
-  st.task = &task;
-  st.affinity = task.affinity_pred;
-  st.duration_ns = 0;
-  st.trace = {};
-  return st;
-}
-
-void Runtime::begin(TaskGraph& graph) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  BPAR_CHECK(!session_active_, "Runtime session already active");
+void Runtime::start(const TaskGraph& graph) {
+  BPAR_CHECK(!running_, "Runtime::run() is not reentrant");
   BPAR_CHECK(!poisoned_,
              "Runtime poisoned by an unrecovered watchdog failure");
   if (fault_injector_) {
     fault_injector_->begin_session();
     fault_injector_->rearm_stalls();
   }
-  graph_ = &graph;
-  // Quiescent point: the previous session drained every queue, so the
-  // FIFO's consumed segments can be freed without a reclamation protocol.
+  // Quiescent point: the previous run drained every queue, so the FIFO's
+  // consumed segments can be freed without a reclamation protocol, and no
+  // worker holds a reference into the state array.
   ready_fifo_.reclaim_consumed();
+  if (graph.size() > state_capacity_) {
+    states_ = std::make_unique<TaskState[]>(graph.size());
+    state_capacity_ = graph.size();
+  }
   executed_.store(0, mo_relaxed);
-  submitted_.store(graph.size(), mo_relaxed);
+  total_.store(graph.size(), mo_relaxed);
   active_.store(0, mo_relaxed);
   max_active_.store(0, mo_relaxed);
   locality_hits_.store(0, mo_relaxed);
@@ -193,19 +167,24 @@ void Runtime::begin(TaskGraph& graph) {
     }
   }
   first_error_ = nullptr;
-  session_start_ = std::chrono::steady_clock::now();
-  session_start_steady_ns_ = static_cast<std::uint64_t>(
+  run_start_ = std::chrono::steady_clock::now();
+  run_start_steady_ns_ = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
-          session_start_.time_since_epoch())
+          run_start_.time_since_epoch())
           .count());
-  session_active_ = true;
+  running_ = true;
 
-  // Tasks already present in the graph are published in two phases: every
-  // task needs its state in place before any root can run and decrement a
-  // successor's dependency counter.
+  // Two phases: every task needs its state in place before any root can
+  // run and decrement a successor's dependency counter.
   for (TaskId id = 0; id < graph.size(); ++id) {
-    TaskState& st = init_state(id);
-    st.pending.store(st.task->num_deps, mo_relaxed);
+    TaskState& st = state(id);
+    const Task& task = graph.task(id);
+    st.pending.store(task.num_deps, mo_relaxed);
+    st.preferred.store(-1, mo_relaxed);
+    st.task = &task;
+    st.affinity = task.affinity_pred;
+    st.duration_ns = 0;
+    st.trace = {};
     if (st.affinity != kInvalidTask) ++tasks_with_affinity_;
   }
   // Readiness must come from the graph's static num_deps: once the first
@@ -217,64 +196,10 @@ void Runtime::begin(TaskGraph& graph) {
   }
 }
 
-TaskId Runtime::submit(std::function<void()> fn,
-                       std::span<const Access> accesses, TaskSpec spec) {
-  std::unique_lock<std::mutex> lock(mu_);
-  BPAR_CHECK(session_active_, "submit() outside a session");
-  const TaskId id = graph_->add_unlinked(std::move(fn), accesses,
-                                         std::move(spec), &scratch_preds_);
-  publish(id, scratch_preds_);
-  lock.unlock();
-  release_publish_bias(id);
-  return id;
-}
-
-Runtime::TaskState& Runtime::publish(TaskId id,
-                                     const std::vector<TaskId>& preds) {
-  TaskState& st = init_state(id);
-  // Bias the dependency counter by one so it cannot reach zero (and the
-  // task cannot be enqueued) until release_publish_bias(); predecessors
-  // may complete and decrement concurrently while we are still linking.
-  st.pending.store(1, mo_relaxed);
-  if (st.affinity != kInvalidTask) ++tasks_with_affinity_;
-  for (const TaskId pred : preds) {
-    // Count the dependency before the edge becomes visible, so a
-    // predecessor finishing right now cannot decrement below the bias.
-    st.pending.fetch_add(1, mo_relaxed);
-    TaskState& ps = state(pred);
-    bool will_notify;
-    {
-      const sync::SpinGuard guard(ps.succ_lock);
-      graph_->link(pred, id);
-      will_notify = !ps.completed;
-    }
-    if (!will_notify) st.pending.fetch_sub(1, mo_relaxed);
-  }
-  submitted_.store(submitted_.load(mo_relaxed) + 1, mo_release);
-  return st;
-}
-
-void Runtime::release_publish_bias(TaskId id) {
-  if (state(id).pending.fetch_sub(1, mo_acq_rel) == 1) {
-    enqueue_ready(id, -1);
-  }
-}
-
-void Runtime::taskwait() {
-  const std::uint64_t wait_start =
-      obs::tracing_enabled() ? obs::now_ns() : 0;
-  std::unique_lock<std::mutex> lock(mu_);
-  BPAR_CHECK(session_active_, "taskwait() outside a session");
-  wait_drained(lock);
-  if (wait_start != 0) {
-    obs::record_span(obs_taskwait_id_, wait_start, obs::now_ns());
-  }
-}
-
 void Runtime::wait_drained(std::unique_lock<std::mutex>& lock) {
   const auto drained = [this] {
     return executed_.load(std::memory_order_acquire) ==
-           submitted_.load(mo_relaxed);
+           total_.load(mo_relaxed);
   };
   if (options_.watchdog_ms == 0) {
     done_cv_.wait(lock, drained);
@@ -310,12 +235,11 @@ void Runtime::wait_drained(std::unique_lock<std::mutex>& lock) {
     // graph and the runtime stays usable; a genuine hang poisons it.
     const bool recovered = done_cv_.wait_for(lock, deadline, drained);
     if (!recovered) poisoned_ = true;
-    session_active_ = false;
-    graph_ = nullptr;
+    running_ = false;
     first_error_ = nullptr;
     diag += recovered
                 ? "\nrecovery: graph drained after stalls were released; "
-                  "session closed, runtime reusable"
+                  "run ended, runtime reusable"
                 : "\nrecovery: graph still stuck after stall release; "
                   "runtime poisoned (workers may be wedged)";
     BPAR_LOG_ERROR << diag;
@@ -326,10 +250,10 @@ void Runtime::wait_drained(std::unique_lock<std::mutex>& lock) {
 std::string Runtime::dump_locked(const std::string& headline) {
   std::ostringstream os;
   os << headline << "\n";
-  const std::size_t submitted = submitted_.load(mo_relaxed);
+  const std::size_t total = total_.load(mo_relaxed);
   const std::size_t executed = executed_.load(std::memory_order_acquire);
-  os << "  tasks: submitted=" << submitted << " executed=" << executed
-     << " outstanding=" << submitted - executed
+  os << "  tasks: total=" << total << " executed=" << executed
+     << " outstanding=" << total - executed
      << " active=" << active_.load(mo_relaxed)
      << " sleepers=" << sleepers_.load(mo_relaxed) << "\n";
   os << "  ready-fifo: head=" << ready_fifo_.head_approx()
@@ -343,23 +267,17 @@ std::string Runtime::dump_locked(const std::string& headline) {
   // Pending-counter histogram over unfinished tasks, plus the oldest one.
   std::size_t histogram[4] = {0, 0, 0, 0};  // pending 0 / 1 / 2 / >=3
   TaskId oldest = kInvalidTask;
-  for (TaskId id = 0; id < submitted; ++id) {
-    TaskState& st = state(id);
-    bool completed;
-    {
-      const sync::SpinGuard guard(st.succ_lock);
-      completed = st.completed;
-    }
-    if (completed) continue;
-    const std::uint32_t pending = st.pending.load(mo_relaxed);
+  for (TaskId id = 0; id < total; ++id) {
+    const std::uint32_t pending = state(id).pending.load(mo_relaxed);
+    if (pending == kFinished) continue;
     ++histogram[pending < 3 ? pending : 3];
     if (oldest == kInvalidTask) oldest = id;
   }
   os << "  pending histogram (unfinished): 0=" << histogram[0]
      << " 1=" << histogram[1] << " 2=" << histogram[2]
      << " >=3=" << histogram[3] << "\n";
-  if (oldest != kInvalidTask && graph_ != nullptr) {
-    const Task& task = graph_->task(oldest);
+  if (oldest != kInvalidTask) {
+    const Task& task = *state(oldest).task;
     os << "  oldest unfinished: task " << oldest << " kind="
        << task_kind_name(task.spec.kind);
     if (!task.spec.name.empty()) os << " name='" << task.spec.name << "'";
@@ -374,7 +292,7 @@ std::string Runtime::dump_locked(const std::string& headline) {
        << " stalls=" << fault_injector_->stalls_injected()
        << " active-stalls=" << fault_injector_->active_stalls() << "\n";
   }
-  os << "  session counters: steals=" << steals_.load(mo_relaxed)
+  os << "  run counters: steals=" << steals_.load(mo_relaxed)
      << " steal-failures=" << steal_failures_.load(mo_relaxed)
      << " parks=" << parks_.load(mo_relaxed)
      << " fifo-pushes=" << fifo_pushes_.load(mo_relaxed)
@@ -389,22 +307,27 @@ std::string Runtime::dump_locked(const std::string& headline) {
 
 std::string Runtime::scheduler_state_dump() {
   const std::lock_guard<std::mutex> lock(mu_);
-  if (!session_active_) return "scheduler idle (no active session)";
+  if (!running_) return "scheduler idle (no active run)";
   return dump_locked("scheduler state");
 }
 
-RunStats Runtime::end() {
-  const std::uint64_t wait_start =
-      obs::tracing_enabled() ? obs::now_ns() : 0;
+RunStats Runtime::run(TaskGraph& graph) {
   std::unique_lock<std::mutex> lock(mu_);
-  BPAR_CHECK(session_active_, "end() outside a session");
+  start(graph);
   wait_drained(lock);
-  if (wait_start != 0) {
-    obs::record_span(obs_taskwait_id_, wait_start, obs::now_ns());
-  }
+  RunStats stats = collect_stats();
+  running_ = false;
+  const std::exception_ptr error = first_error_;
+  lock.unlock();
+  record_metrics(stats);
+  if (error) std::rethrow_exception(error);
+  return stats;
+}
+
+RunStats Runtime::collect_stats() const {
   RunStats stats;
   stats.wall_ns = now_ns();
-  const std::size_t total = submitted_.load(mo_relaxed);
+  const std::size_t total = total_.load(mo_relaxed);
   stats.tasks_executed = total;
   stats.max_concurrency = max_active_.load(mo_relaxed);
   stats.tasks_with_affinity = tasks_with_affinity_;
@@ -414,7 +337,7 @@ RunStats Runtime::end() {
   stats.parks = parks_.load(mo_relaxed);
   stats.fifo_pushes = fifo_pushes_.load(mo_relaxed);
   stats.deque_pushes = deque_pushes_.load(mo_relaxed);
-  stats.session_start_ns = session_start_steady_ns_;
+  stats.session_start_ns = run_start_steady_ns_;
   stats.task_duration_ns.resize(total);
   if (options_.record_trace) stats.trace.resize(total);
   for (TaskId id = 0; id < total; ++id) {
@@ -438,17 +361,16 @@ RunStats Runtime::end() {
       }
     }
   }
-  session_active_ = false;
-  graph_ = nullptr;
-  const std::exception_ptr error = first_error_;
-  lock.unlock();
+  return stats;
+}
 
-  // Publish scheduler counters into the process-wide metrics registry (the
-  // watchdog dump, run reports, and test diagnostics all read from there).
-  // Cold path: one map lookup per counter, once per session.
+void Runtime::record_metrics(const RunStats& stats) const {
+  // The watchdog dump, run reports, and test diagnostics all read the
+  // scheduler counters from the process-wide registry. Cold path: one map
+  // lookup per counter, once per run.
   auto& reg = obs::Registry::instance();
   reg.counter("taskrt.sessions").add(1);
-  reg.counter("taskrt.tasks_executed").add(total);
+  reg.counter("taskrt.tasks_executed").add(stats.tasks_executed);
   reg.counter("taskrt.steals").add(stats.steals);
   reg.counter("taskrt.steal_failures").add(stats.steal_failures);
   reg.counter("taskrt.parks").add(stats.parks);
@@ -471,14 +393,6 @@ RunStats Runtime::end() {
     reg.gauge(prefix + ".mpki").set(kc.counters.mpki());
     reg.gauge(prefix + ".mux_scale").set(kc.counters.scale);
   }
-
-  if (error) std::rethrow_exception(error);
-  return stats;
-}
-
-RunStats Runtime::run(TaskGraph& graph) {
-  begin(graph);
-  return end();
 }
 
 void Runtime::parallel_for(
@@ -487,14 +401,13 @@ void Runtime::parallel_for(
   BPAR_CHECK(grain > 0, "grain must be positive");
   if (begin_index >= end_index) return;
   TaskGraph graph;
-  begin(graph);
   for (std::int64_t lo = begin_index; lo < end_index; lo += grain) {
     const std::int64_t hi = std::min(end_index, lo + grain);
     TaskSpec spec;
     spec.kind = TaskKind::kGemmChunk;
-    submit([fn, lo, hi] { fn(lo, hi); }, std::move(spec));
+    graph.add([&fn, lo, hi] { fn(lo, hi); }, {}, std::move(spec));
   }
-  end();
+  run(graph);
 }
 
 void Runtime::worker_loop(int worker_id) {
@@ -544,8 +457,8 @@ void Runtime::execute_task(TaskId id, int worker_id) {
     }
     if (const std::uint64_t fault_end = now_ns();
         obs::tracing_enabled() && fault_end - fault_start > 1000) {
-      obs::record_span(obs_fault_id_, session_start_steady_ns_ + fault_start,
-                       session_start_steady_ns_ + fault_end);
+      obs::record_span(obs_fault_id_, run_start_steady_ns_ + fault_start,
+                       run_start_steady_ns_ + fault_end);
     }
   }
   perf::CounterReading pmu_begin;
@@ -588,8 +501,8 @@ void Runtime::execute_task(TaskId id, int worker_id) {
     // size_approx() reads shared producer/consumer cursors, and doing
     // that per task measurably perturbs the dispatch path it observes.
     const auto kind = static_cast<std::uint8_t>(st.task->spec.kind);
-    const std::uint64_t abs_start = session_start_steady_ns_ + start;
-    const std::uint64_t abs_finish = session_start_steady_ns_ + finish;
+    const std::uint64_t abs_start = run_start_steady_ns_ + start;
+    const std::uint64_t abs_finish = run_start_steady_ns_ + finish;
     obs::record_task(obs_kind_ids_[kind], kind, abs_start, abs_finish);
     if ((self.trace_tick++ & 31U) == 0U) {
       obs::record_counter(obs_fifo_depth_id_, abs_finish,
@@ -600,17 +513,8 @@ void Runtime::execute_task(TaskId id, int worker_id) {
     }
   }
 
-  // Completion snapshot: after `completed` flips under the lock, submit()
-  // counts any new edge to this task as already satisfied, so exactly the
-  // successors captured here are the ones we must notify.
-  self.succ_scratch.clear();
-  {
-    const sync::SpinGuard guard(st.succ_lock);
-    st.completed = true;
-    const auto& succs = st.task->successors;
-    self.succ_scratch.assign(succs.begin(), succs.end());
-  }
-  for (const TaskId succ : self.succ_scratch) {
+  st.pending.store(kFinished, mo_relaxed);
+  for (const TaskId succ : st.task->successors) {
     TaskState& succ_state = state(succ);
     if (options_.policy == SchedulerPolicy::kLocalityAware &&
         succ_state.affinity == id) {
@@ -623,7 +527,7 @@ void Runtime::execute_task(TaskId id, int worker_id) {
   }
   const std::size_t done =
       executed_.fetch_add(1, std::memory_order_release) + 1;
-  if (done == submitted_.load(std::memory_order_acquire)) {
+  if (done == total_.load(std::memory_order_acquire)) {
     // Lock/unlock pairs with the waiter's predicate check under mu_ so the
     // notify cannot slip between its check and its wait.
     { const std::lock_guard<std::mutex> guard(mu_); }

@@ -2,13 +2,9 @@
 // paper's §III-B: a worker pool consuming ready tasks whose dependencies
 // are fulfilled.
 //
-// Two execution modes:
-//  * run(graph)   — execute a fully built graph (blocking);
-//  * begin/submit/taskwait/end — OmpSs-style *dynamic* task creation: the
-//    main thread keeps submitting tasks while workers already execute
-//    earlier ones, which is how B-Par "adjusts the computation graph
-//    dynamically at run-time" for variable sequence lengths (paper
-//    §III-B).
+// run(graph) executes a fully built graph and blocks until it drains. The
+// graph is built once per shape and replayed; exec/bpar_executor.hpp's
+// program cache is how B-Par handles a new sequence length.
 //
 // Two scheduling policies (paper §IV-A):
 //  * kFifo — a single global FIFO ready queue ("breadth-first"), no
@@ -20,18 +16,17 @@
 //    end of sibling deques (never a deque's last entry — that one stays
 //    reserved for its cache-hot owner).
 //
-// The dispatch hot path is lock-free in steady state (see DESIGN.md
-// §task-runtime): per-worker Chase-Lev deques (owner pushes/pops bottom,
-// thieves steal top), a lock-free segmented MPMC FIFO for the global
-// queue, atomic per-task dependency counters, and atomic
-// executed/submitted counters for taskwait()/end(). Idle workers park on a
-// condition variable only after repeated failed steal sweeps; producers
-// wake them only when sleepers are registered. The global mutex `mu_` is
-// taken only for begin()/submit() graph mutation, error capture, and
-// taskwait()/end() blocking.
+// The dispatch hot path is lock-free (see DESIGN.md §5b): per-worker
+// Chase-Lev deques (owner pushes/pops bottom, thieves steal top), a
+// lock-free segmented MPMC FIFO for the global queue, atomic per-task
+// dependency counters, and an atomic executed counter that run() compares
+// against the graph size. Idle workers park on a condition variable only
+// after repeated failed steal sweeps; producers wake them only when
+// sleepers are registered. The global mutex `mu_` is taken only for error
+// capture and run()'s blocking wait.
 //
 // Workers are persistent across runs. Tasks may throw: the first exception
-// is captured and rethrown from run()/end() after the graph drains.
+// is captured and rethrown from run() after the graph drains.
 #pragma once
 
 #include <atomic>
@@ -62,7 +57,7 @@ struct RuntimeOptions {
   bool record_trace = false;  // keep per-task (start, end, worker) tuples
   bool pin_threads = false;   // best-effort core pinning (Linux)
   /// Watchdog deadline: if no task completes for this long while the graph
-  /// is undrained, taskwait()/end() throws WatchdogError carrying a
+  /// is undrained, run() throws WatchdogError carrying a
   /// scheduler-state dump instead of hanging. 0 disables. Must exceed the
   /// longest individual task.
   std::uint32_t watchdog_ms = 0;
@@ -91,14 +86,14 @@ struct RunStats {
   std::size_t tasks_with_affinity = 0;
   std::size_t locality_hits = 0;  // ran on the preferred (producer's) worker
   // Scheduler pressure counters (also published to the obs metrics
-  // registry under the "taskrt." prefix at end()).
+  // registry under the "taskrt." prefix when run() returns).
   std::size_t steals = 0;          // successful steals from sibling deques
   std::size_t steal_failures = 0;  // full sweeps that found nothing
   std::size_t parks = 0;           // times a worker went to sleep
   std::size_t fifo_pushes = 0;     // ready tasks routed to the global FIFO
   std::size_t deque_pushes = 0;    // ready tasks routed to a local deque
-  /// Session start in absolute steady-clock ns — the offset that aligns
-  /// `trace` (session-relative) with obs span timestamps (absolute).
+  /// Run start in absolute steady-clock ns — the offset that aligns
+  /// `trace` (run-relative) with obs span timestamps (absolute).
   std::uint64_t session_start_ns = 0;
   std::vector<std::uint64_t> task_duration_ns;   // indexed by TaskId
   std::vector<std::uint64_t> worker_busy_ns;     // indexed by worker
@@ -131,43 +126,14 @@ class Runtime {
   Runtime& operator=(const Runtime&) = delete;
 
   /// Executes every task in `graph`, respecting dependencies. Blocking.
-  /// The graph can be re-run (execution state is external to the graph).
+  /// The graph can be re-run (execution state is external to the graph);
+  /// it must not change while it runs.
   RunStats run(TaskGraph& graph);
-
-  // ---- dynamic (OmpSs-style) sessions ----
-
-  /// Starts a session over `graph` (usually empty). Tasks already in the
-  /// graph are scheduled immediately; more can be submitted while workers
-  /// execute. The graph must outlive the session.
-  void begin(TaskGraph& graph);
-  /// Adds one task; it becomes runnable the moment its dependencies (among
-  /// previously submitted tasks) are fulfilled. Only the thread that called
-  /// begin() may submit.
-  TaskId submit(std::function<void()> fn, std::span<const Access> accesses,
-                TaskSpec spec = {});
-  TaskId submit(std::function<void()> fn,
-                std::initializer_list<Access> accesses, TaskSpec spec = {}) {
-    return submit(std::move(fn),
-                  std::span<const Access>(accesses.begin(), accesses.size()),
-                  std::move(spec));
-  }
-  /// First-class independent task: no accesses, so no dependency on any
-  /// other task and no traffic through the address table — in particular
-  /// no synthetic addresses that could alias a caller's real buffers.
-  /// Ready immediately.
-  TaskId submit(std::function<void()> fn, TaskSpec spec = {}) {
-    return submit(std::move(fn), std::span<const Access>{}, std::move(spec));
-  }
-  /// Blocks until every task submitted so far has executed (OmpSs
-  /// `taskwait`). More submissions may follow.
-  void taskwait();
-  /// taskwait() + finalize; returns the session's stats and rethrows the
-  /// first task exception, if any.
-  RunStats end();
 
   /// Convenience fork-join: fn(i) for i in [begin, end), chunked by grain.
   /// Used by the per-layer-barrier baseline executors for intra-op
-  /// parallelism. Chunks are independent tasks (no dependency addresses).
+  /// parallelism. Builds a graph of independent chunk tasks (no dependency
+  /// addresses) and run()s it.
   void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                     const std::function<void(std::int64_t, std::int64_t)>& fn);
 
@@ -180,34 +146,33 @@ class Runtime {
   }
 
   /// True once a watchdog failure left the graph undrained (workers may be
-  /// wedged): the next session will BPAR_CHECK-fail. Owners that want to
+  /// wedged): the next run() will BPAR_CHECK-fail. Owners that want to
   /// keep serving must discard this runtime and build a fresh one — the
-  /// serving engine's rebuild_executor() path. Call between sessions only.
+  /// serving engine's rebuild_executor() path. Call between runs only.
   [[nodiscard]] bool poisoned() const { return poisoned_; }
 
   /// Human-readable scheduler state (deque depths, FIFO cursors, pending
   /// histogram, oldest unfinished task) — what WatchdogError::what()
-  /// carries. Callable any time; outside a session it reports that.
+  /// carries. Callable any time; outside a run it reports that.
   [[nodiscard]] std::string scheduler_state_dump();
 
  private:
   // Per-task execution state, separate from the graph so a graph can be
   // re-run. Cache-line sized: adjacent tasks' counters never false-share.
   struct alignas(64) TaskState {
-    std::atomic<std::uint32_t> pending{0};  // unmet deps (+1 publish bias)
+    std::atomic<std::uint32_t> pending{0};  // unmet deps; kFinished once run
     std::atomic<std::int32_t> preferred{-1};  // locality hint (worker id)
-    sync::SpinLock succ_lock;  // orders link() vs the completion snapshot
-    bool completed = false;    // guarded by succ_lock
-    const Task* task = nullptr;      // stable (deque storage in TaskGraph)
+    const Task* task = nullptr;      // stable while the graph runs
     TaskId affinity = kInvalidTask;  // copy of task->affinity_pred
     std::uint64_t duration_ns = 0;   // written by the executing worker only
     TaskTrace trace;
   };
+  // `pending` of a task whose body has run (for the watchdog's dump only).
+  static constexpr std::uint32_t kFinished = ~std::uint32_t{0};
 
   // Everything one worker touches every task, padded apart from siblings.
   struct alignas(64) Worker {
     WorkStealingDeque deque;
-    std::vector<TaskId> succ_scratch;  // completion-snapshot buffer
     std::uint64_t busy_ns = 0;
     std::uint32_t trace_tick = 0;  // queue-depth counter sampling phase
     // Thread-scope PMU, created (and only ever touched) by the owning
@@ -215,11 +180,6 @@ class Runtime {
     std::unique_ptr<perf::PerfCounters> pmu;
     std::vector<RunStats::KindCounters> kind_counters;  // by TaskKind
   };
-
-  static constexpr std::size_t kStateChunkBits = 10;  // 1024 states/chunk
-  static constexpr std::size_t kStateChunkSize = std::size_t{1}
-                                                 << kStateChunkBits;
-  static constexpr std::size_t kMaxStateChunks = 4096;  // ~4.2M tasks/session
 
   void worker_loop(int worker_id);
   /// Finds the next task for `worker_id`: own deque, global FIFO, then a
@@ -230,26 +190,24 @@ class Runtime {
   /// so (`from_worker` is the enqueuing worker, -1 for the main thread),
   /// else the global FIFO. Wakes a parked worker if any.
   void enqueue_ready(TaskId id, int from_worker);
-  /// Publishes task `id` into the session: initializes its TaskState and
-  /// links predecessor edges with the completion-safe protocol. Caller
-  /// holds mu_. Returns the state (pending still holds the publish bias).
-  TaskState& publish(TaskId id, const std::vector<TaskId>& preds);
-  TaskState& init_state(TaskId id);
-  [[nodiscard]] TaskState& state(TaskId id) const {
-    return state_chunks_[id >> kStateChunkBits].load(sync::mo_acquire)
-        [id & (kStateChunkSize - 1)];
-  }
-  /// Drops the publish bias; enqueues the task if it became ready.
-  void release_publish_bias(TaskId id);
+  /// Resets the run counters, seeds every task's state from the graph and
+  /// enqueues the roots. Caller holds mu_.
+  void start(const TaskGraph& graph);
+  /// Gathers the drained run's stats. Caller holds mu_.
+  [[nodiscard]] RunStats collect_stats() const;
+  /// Adds a finished run's counters to the obs metrics registry.
+  void record_metrics(const RunStats& stats) const;
+  [[nodiscard]] TaskState& state(TaskId id) const { return states_[id]; }
   void notify_workers();
   [[nodiscard]] bool has_visible_work(int worker_id) const;
   std::uint64_t now_ns() const;
-  /// Blocks until executed == submitted. With a watchdog configured, fires
-  /// on no-progress deadlines: captures diagnostics, releases injected
-  /// stalls, and throws WatchdogError (closing the session; the runtime is
-  /// poisoned if the graph still does not drain). Caller holds `lock`.
+  /// Blocks until every task of the graph has executed. With a watchdog
+  /// configured, fires on no-progress deadlines: captures diagnostics,
+  /// releases injected stalls, and throws WatchdogError (ending the run;
+  /// the runtime is poisoned if the graph still does not drain). Caller
+  /// holds `lock`.
   void wait_drained(std::unique_lock<std::mutex>& lock);
-  /// Diagnostic text; caller holds mu_ and a session is active.
+  /// Diagnostic text; caller holds mu_ and a run is active.
   [[nodiscard]] std::string dump_locked(const std::string& headline);
 
   RuntimeOptions options_;
@@ -265,19 +223,16 @@ class Runtime {
   std::uint16_t obs_steal_id_ = 0;
   std::uint16_t obs_park_id_ = 0;
   std::uint16_t obs_fault_id_ = 0;
-  std::uint16_t obs_taskwait_id_ = 0;
   std::vector<std::uint16_t> obs_deque_depth_ids_;
 
-  // --- cold path: session setup, blocking waits, error capture ---
+  // --- cold path: run setup, blocking wait, error capture ---
   std::mutex mu_;
   std::condition_variable done_cv_;
-  bool session_active_ = false;  // main thread only
+  bool running_ = false;   // guarded by mu_
   bool poisoned_ = false;  // watchdog fired and the graph never drained
-  TaskGraph* graph_ = nullptr;   // main thread only
   std::exception_ptr first_error_;  // guarded by mu_
-  std::size_t tasks_with_affinity_ = 0;  // main thread only
-  std::chrono::steady_clock::time_point session_start_;
-  std::vector<TaskId> scratch_preds_;  // main thread only
+  std::size_t tasks_with_affinity_ = 0;  // guarded by mu_
+  std::chrono::steady_clock::time_point run_start_;
 
   // --- parking lot ---
   std::mutex park_mu_;
@@ -288,7 +243,7 @@ class Runtime {
 
   // --- lock-free steady state ---
   alignas(64) std::atomic<std::size_t> executed_{0};
-  alignas(64) std::atomic<std::size_t> submitted_{0};  // written under mu_
+  alignas(64) std::atomic<std::size_t> total_{0};  // tasks in the graph
   alignas(64) std::atomic<std::int32_t> active_{0};
   std::atomic<std::int32_t> max_active_{0};
   std::atomic<std::size_t> locality_hits_{0};
@@ -298,8 +253,10 @@ class Runtime {
   std::atomic<std::size_t> fifo_pushes_{0};
   std::atomic<std::size_t> deque_pushes_{0};
   std::atomic<std::int32_t> pmu_workers_{0};  // workers whose PMU opened
-  std::uint64_t session_start_steady_ns_ = 0;  // main thread only
-  std::unique_ptr<std::atomic<TaskState*>[]> state_chunks_;
+  std::uint64_t run_start_steady_ns_ = 0;  // set by start()
+  // One state per task, sized by run() to the graph; grown between runs.
+  std::unique_ptr<TaskState[]> states_;
+  std::size_t state_capacity_ = 0;
   ReadyFifo ready_fifo_;
   std::unique_ptr<Worker[]> workers_;
   std::vector<std::thread> threads_;

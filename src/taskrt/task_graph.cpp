@@ -38,17 +38,7 @@ const char* task_kind_name(TaskKind kind) {
 }
 
 TaskId TaskGraph::add(std::function<void()> fn,
-                      std::span<const Access> accesses, TaskSpec spec,
-                      std::vector<TaskId>* preds_out) {
-  const TaskId id =
-      add_unlinked(std::move(fn), accesses, std::move(spec), preds_out);
-  for (const TaskId pred : scratch_preds_) add_edge(pred, id);
-  return id;
-}
-
-TaskId TaskGraph::add_unlinked(std::function<void()> fn,
-                               std::span<const Access> accesses, TaskSpec spec,
-                               std::vector<TaskId>* preds_out) {
+                      std::span<const Access> accesses, TaskSpec spec) {
   const TaskId id = static_cast<TaskId>(tasks_.size());
   BPAR_CHECK(id != kInvalidTask, "task graph overflow");
   tasks_.emplace_back();
@@ -96,13 +86,8 @@ TaskId TaskGraph::add_unlinked(std::function<void()> fn,
   scratch_preds_.erase(
       std::unique(scratch_preds_.begin(), scratch_preds_.end()),
       scratch_preds_.end());
-  if (preds_out != nullptr) *preds_out = scratch_preds_;
+  for (const TaskId pred : scratch_preds_) add_edge(pred, id);
   return id;
-}
-
-void TaskGraph::link(TaskId pred, TaskId succ) {
-  BPAR_DCHECK(pred < succ, "dependency on future task");
-  add_edge(pred, succ);
 }
 
 void TaskGraph::add_edge(TaskId pred, TaskId succ) {

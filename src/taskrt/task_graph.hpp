@@ -95,35 +95,18 @@ class TaskGraph {
 
   /// Submits a task; dependencies are resolved immediately against all
   /// previously submitted tasks. Returns the task's id (creation order).
-  /// When `preds_out` is non-null it receives the deduplicated direct
-  /// predecessors (used by Runtime's dynamic-submission sessions to count
-  /// only still-incomplete dependencies).
+  /// An empty access list means an independent task: the address table is
+  /// not consulted at all, so synthetic addresses are never needed.
   TaskId add(std::function<void()> fn, std::span<const Access> accesses,
-             TaskSpec spec = {}, std::vector<TaskId>* preds_out = nullptr);
+             TaskSpec spec = {});
 
   /// Convenience overload for initializer lists.
   TaskId add(std::function<void()> fn, std::initializer_list<Access> accesses,
-             TaskSpec spec = {}, std::vector<TaskId>* preds_out = nullptr) {
+             TaskSpec spec = {}) {
     return add(std::move(fn),
                std::span<const Access>(accesses.begin(), accesses.size()),
-               std::move(spec), preds_out);
+               std::move(spec));
   }
-
-  /// Like add(), but defers edge insertion: dependencies are *resolved*
-  /// (address table updated, `preds_out` filled with the deduplicated
-  /// direct predecessors) without touching any predecessor's successor
-  /// list. The caller then inserts each edge via link(), interleaved with
-  /// whatever synchronization it needs — Runtime uses this to order edge
-  /// appends against concurrent completion snapshots with a per-task lock.
-  /// An empty access list means an independent task: the address table is
-  /// not consulted at all, so synthetic addresses are never needed.
-  TaskId add_unlinked(std::function<void()> fn,
-                      std::span<const Access> accesses, TaskSpec spec,
-                      std::vector<TaskId>* preds_out);
-
-  /// Inserts the edge pred → succ (updates successor list, num_deps and
-  /// edge_count). Pair with add_unlinked(); `pred < succ` required.
-  void link(TaskId pred, TaskId succ);
 
   [[nodiscard]] std::size_t size() const { return tasks_.size(); }
   [[nodiscard]] bool empty() const { return tasks_.empty(); }
@@ -158,8 +141,8 @@ class TaskGraph {
 
   void add_edge(TaskId pred, TaskId succ);
 
-  // Deque: element addresses stay valid while the graph grows, so a
-  // Runtime session can execute tasks concurrently with add() calls.
+  // Deque: add() never moves existing tasks. No task is added while the
+  // graph runs.
   std::deque<Task> tasks_;
   std::unordered_map<const void*, AddressState> address_table_;
   std::size_t edge_count_ = 0;

@@ -150,7 +150,7 @@ TEST_P(ExecutorEquivalence, AllExecutorsMatchSequential) {
   add("bpar_fused_merge", [](rnn::Network& n) {
     return std::make_unique<BParExecutor>(
         n, exec::BParOptions{.common = {.num_workers = 4},
-                             .schedule_profile = "fused_merge"});
+                             .schedule = graph::Schedule::kFusedMerge});
   });
   add("bpar_w4_pinned", [](rnn::Network& n) {
     return std::make_unique<BParExecutor>(

@@ -145,7 +145,7 @@ TEST(GraphStructure, BarriersLengthenCriticalPath) {
   rnn::Network net(cfg);
   TrainingProgram free_prog(net, cfg.batch_size, {});
   BuildOptions barrier_opts;
-  barrier_opts.schedule_profile = "framework";
+  barrier_opts.schedule = Schedule::kFramework;
   TrainingProgram barrier_prog(net, cfg.batch_size, barrier_opts);
   EXPECT_GT(barrier_prog.graph().critical_path_length(),
             free_prog.graph().critical_path_length());
@@ -156,7 +156,7 @@ TEST(GraphStructure, FuseMergeCouplesDirections) {
   rnn::Network net(cfg);
   TrainingProgram separate(net, cfg.batch_size, {});
   BuildOptions fused_opts;
-  fused_opts.schedule_profile = "fused_merge";
+  fused_opts.schedule = Schedule::kFusedMerge;
   TrainingProgram fused(net, cfg.batch_size, fused_opts);
   // Fused merges serialize fwd cells behind the full reverse chain → a
   // strictly longer critical path (that's why B-Par keeps merges separate).

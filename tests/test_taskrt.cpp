@@ -6,6 +6,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "taskrt/runtime.hpp"
@@ -201,9 +202,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(SchedulerPolicy::kFifo,
                                          SchedulerPolicy::kLocalityAware),
                        ::testing::Values(1, 2, 4, 8)),
-    [](const auto& info) {
-      return std::string(scheduler_policy_name(std::get<0>(info.param))) +
-             "_w" + std::to_string(std::get<1>(info.param));
+    [](const auto& param_info) {
+      const auto policy = std::get<0>(param_info.param);
+      return std::string(scheduler_policy_name(policy)) + "_w" +
+             std::to_string(std::get<1>(param_info.param));
     });
 
 TEST(Runtime, ExceptionPropagates) {
@@ -248,7 +250,7 @@ TEST(Runtime, StatsTrackDurationsAndConcurrency) {
     g.add(
         [] {
           volatile double x = 0;
-          for (int i = 0; i < 50000; ++i) x += i;
+          for (int i = 0; i < 50000; ++i) x = x + i;
         },
         {out(&s)});
   }
@@ -344,24 +346,25 @@ TEST_P(RuntimeStress, WideDiamondExecutesEveryTaskOnce) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, RuntimeStress,
                          ::testing::Values(2, 4, 8, 16),
-                         [](const auto& info) {
-                           return "w" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           return "w" + std::to_string(param_info.param);
                          });
 
-TEST(Runtime, StressExceptionPropagatesOutOfEnd) {
+TEST(Runtime, StressExceptionPropagatesOutOfRun) {
   Runtime rt({.num_workers = 4});
-  for (int rep = 0; rep < 3; ++rep) {
-    TaskGraph g;
-    rt.begin(g);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 2000; ++i) {
-      if (i == 997) {
-        rt.submit([] { throw std::runtime_error("boom"); });
-      } else {
-        rt.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-      }
+  std::atomic<int> ran{0};
+  TaskGraph g;
+  for (int i = 0; i < 2000; ++i) {
+    if (i == 997) {
+      g.add([] { throw std::runtime_error("boom"); }, {});
+    } else {
+      g.add([&ran] { ran.fetch_add(1, std::memory_order_relaxed); }, {});
     }
-    EXPECT_THROW(rt.end(), std::runtime_error);
+  }
+  // The runtime stays usable after a failed run.
+  for (int rep = 0; rep < 3; ++rep) {
+    ran.store(0, std::memory_order_relaxed);
+    EXPECT_THROW(rt.run(g), std::runtime_error);
     EXPECT_EQ(ran.load(), 1999);  // independent tasks still all ran
   }
 }
@@ -401,27 +404,53 @@ TEST(Runtime, LocalityHitsSurviveActiveThief) {
   EXPECT_GE(stats.locality_hits, kChain * 9 / 10);
 }
 
-TEST(Runtime, IndependentSubmitCreatesNoEdgesOrAliases) {
+TEST(Runtime, IndependentTasksCreateNoEdgesOrAliases) {
   Runtime rt({.num_workers = 4});
   TaskGraph g;
-  rt.begin(g);
   std::atomic<int> ran{0};
   for (int i = 0; i < 64; ++i) {
-    rt.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    g.add([&ran] { ran.fetch_add(1, std::memory_order_relaxed); }, {});
   }
-  // One real dependency pair sharing the session: must still link, and the
+  // One real dependency pair in the same graph: must still link, and the
   // independent tasks must not have polluted the address table around it.
   int x = 0;
-  rt.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); },
-            {out(&x)});
-  rt.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); },
-            {in(&x)});
-  rt.end();
+  g.add([&ran] { ran.fetch_add(1, std::memory_order_relaxed); }, {out(&x)});
+  g.add([&ran] { ran.fetch_add(1, std::memory_order_relaxed); }, {in(&x)});
+  rt.run(g);
   EXPECT_EQ(ran.load(), 66);
   EXPECT_EQ(g.edge_count(), 1U);
   for (TaskId id = 0; id < 64U; ++id) {
     EXPECT_EQ(g.task(id).num_deps, 0U);
     EXPECT_TRUE(g.task(id).successors.empty());
+  }
+}
+
+// The per-task state array is sized to the graph and grown between runs:
+// a small graph, a much larger one, then the small one again, all on one
+// runtime, each task running exactly once per run.
+TEST(Runtime, StateArrayGrowsBetweenRuns) {
+  Runtime rt({.num_workers = 4, .policy = SchedulerPolicy::kLocalityAware});
+  const auto make = [](std::vector<std::atomic<int>>& hits,
+                       std::vector<int>& lanes) {
+    TaskGraph g;
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      g.add([&hits, i] { hits[i].fetch_add(1, std::memory_order_relaxed); },
+            {inout(&lanes[i % lanes.size()])});
+    }
+    return g;
+  };
+  std::vector<int> lanes(7);
+  std::vector<std::atomic<int>> small_hits(10);
+  std::vector<std::atomic<int>> large_hits(5000);
+  TaskGraph small = make(small_hits, lanes);
+  TaskGraph large = make(large_hits, lanes);
+  const std::pair<TaskGraph*, std::vector<std::atomic<int>>*> runs[] = {
+      {&small, &small_hits}, {&large, &large_hits}, {&small, &small_hits}};
+  for (const auto& [g, hits] : runs) {
+    for (auto& h : *hits) h.store(0, std::memory_order_relaxed);
+    const RunStats stats = rt.run(*g);
+    EXPECT_EQ(stats.tasks_executed, g->size());
+    for (const auto& h : *hits) ASSERT_EQ(h.load(), 1);
   }
 }
 
