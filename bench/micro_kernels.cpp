@@ -217,7 +217,11 @@ void BM_QgemmNtInt8(benchmark::State& state) {
           static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
 }
-BENCHMARK(BM_QgemmNtInt8)->Args({32, 256, 128})->Args({128, 1024, 512});
+BENCHMARK(BM_QgemmNtInt8)
+    ->Args({8, 384, 128})
+    ->Args({8, 384, 256})
+    ->Args({32, 256, 128})
+    ->Args({128, 1024, 512});
 
 const int kBackendBenchesRegistered = [] {
   int count = 0;

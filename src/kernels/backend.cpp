@@ -73,4 +73,8 @@ bool set_backend(std::string_view name) {
   return true;
 }
 
+void set_backend(const Backend& backend) {
+  g_active.store(&backend, std::memory_order_release);
+}
+
 }  // namespace bpar::kernels

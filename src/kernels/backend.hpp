@@ -1,7 +1,7 @@
 // Runtime-dispatched kernel backends (DESIGN.md §5g).
 //
 // Every hot numeric kernel — the three GEMM variants, gemv_t, the fused
-// pointwise/activation chains, and the int8 dot product under the quantized
+// pointwise/activation chains, and the int8 GEMM core of the quantized
 // inference path — is reached through a `Backend` function-pointer table.
 // The table is selected exactly once, at first use, by cpuid feature
 // detection (AVX-512 > AVX2 > NEON > scalar), and can be overridden with
@@ -13,10 +13,10 @@
 // reassociate additions and the vectorized activations use a polynomial
 // exp, so parity is tolerance-pinned, not bit-exact — but each backend is
 // deterministic run-to-run, which is what the executor/serving bit-exact
-// replay tests rely on.
+// replay tests rely on. The int8 GEMM is the exception: it is bitwise
+// equal to scalar on every backend.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -24,6 +24,8 @@
 #include "tensor/tensor.hpp"
 
 namespace bpar::kernels {
+
+struct QuantView;  // kernels/quant.hpp
 
 struct Backend {
   const char* name = "";
@@ -51,11 +53,12 @@ struct Backend {
   void (*axpy)(float s, std::span<const float> src,
                std::span<float> dst) = nullptr;
 
-  /// int8 x int8 -> int32 dot product of length k — the inner kernel of the
-  /// quantized GEMM (kernels/quant.hpp). Accumulation is exact (int32), so
-  /// this IS bit-consistent across backends.
-  std::int32_t (*dot_i8)(const std::int8_t* a, const std::int8_t* b,
-                         int k) = nullptr;
+  /// C += dequant(Aq · Bq^T), the core of kernels::qgemm_nt
+  /// (kernels/quant.hpp), which has validated shapes and applied beta.
+  /// Accumulation is exact (int32) and the epilogue is never contracted,
+  /// so this IS bitwise equal across backends.
+  void (*qgemm_nt)(tensor::ConstMatrixView a, const QuantView& b,
+                   tensor::MatrixView c) = nullptr;
 };
 
 /// The scalar reference backend — always available, golden for parity.
@@ -87,5 +90,9 @@ struct Backend {
 /// the name is unknown or unsupported on this CPU. Not meant to race with
 /// in-flight kernels — call it at startup or between runs (tools, tests).
 bool set_backend(std::string_view name);
+/// Switches to a caller-built table, e.g. native with one kernel swapped
+/// for the scalar one, to isolate that kernel in an end-to-end A/B. The
+/// table must outlive every kernel call made through it.
+void set_backend(const Backend& backend);
 
 }  // namespace bpar::kernels

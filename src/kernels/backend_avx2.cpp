@@ -48,34 +48,6 @@ struct Avx2Vec {
     s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
     return _mm_cvtss_f32(s);
   }
-
-  /// int8 dot product: 16 lanes widened to int16, _mm256_madd_epi16 pairs
-  /// into int32 (products <= 127*127 never overflow int16 pair sums' int32
-  /// accumulator for any realistic k).
-  static std::int32_t dot_i8(const std::int8_t* a, const std::int8_t* b,
-                             int k) {
-    __m256i acc = _mm256_setzero_si256();
-    int p = 0;
-    for (; p + 16 <= k; p += 16) {
-      const __m128i av =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + p));
-      const __m128i bv =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + p));
-      const __m256i a16 = _mm256_cvtepi8_epi16(av);
-      const __m256i b16 = _mm256_cvtepi8_epi16(bv);
-      acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a16, b16));
-    }
-    const __m128i lo = _mm256_castsi256_si128(acc);
-    const __m128i hi = _mm256_extracti128_si256(acc, 1);
-    __m128i s = _mm_add_epi32(lo, hi);
-    s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 1));
-    std::int32_t sum = _mm_cvtsi128_si32(s);
-    for (; p < k; ++p) {
-      sum += static_cast<std::int32_t>(a[p]) * static_cast<std::int32_t>(b[p]);
-    }
-    return sum;
-  }
 };
 
 }  // namespace

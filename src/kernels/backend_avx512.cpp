@@ -1,11 +1,23 @@
 // AVX-512 kernel backend (F + BW + DQ + VL). Compiled with the matching
 // -mavx512* flags; nothing here may run before the cpuid check in
-// avx512_backend().
+// avx512_backend(). CPUs that also have VNNI get the packed int8 GEMM
+// core of qgemm_vnni.cpp.
 #include "kernels/backend.hpp"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define BPAR_HAVE_AVX512_BACKEND 1
+// GCC 12's AVX-512 intrinsics build their "undefined" vectors by
+// self-initialisation, which -W(maybe-)uninitialized reports at every
+// inlined use; the warnings are in the header, so mute them there.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#endif
 #include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 #include "kernels/simd_kernels.hpp"
 #endif
@@ -53,34 +65,6 @@ struct Avx512Vec {
     s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
     return _mm_cvtss_f32(s);
   }
-
-  /// 32 int8 lanes widened to int16, madd into 16 int32 partials.
-  static std::int32_t dot_i8(const std::int8_t* a, const std::int8_t* b,
-                             int k) {
-    __m512i acc = _mm512_setzero_si512();
-    int p = 0;
-    for (; p + 32 <= k; p += 32) {
-      const __m256i av =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + p));
-      const __m256i bv =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + p));
-      const __m512i a16 = _mm512_cvtepi8_epi16(av);
-      const __m512i b16 = _mm512_cvtepi8_epi16(bv);
-      acc = _mm512_add_epi32(acc, _mm512_madd_epi16(a16, b16));
-    }
-    const __m256i lo8 = _mm512_castsi512_si256(acc);
-    const __m256i hi8 = _mm512_extracti64x4_epi64(acc, 1);
-    const __m256i s8 = _mm256_add_epi32(lo8, hi8);
-    __m128i s = _mm_add_epi32(_mm256_castsi256_si128(s8),
-                              _mm256_extracti128_si256(s8, 1));
-    s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 1));
-    std::int32_t sum = _mm_cvtsi128_si32(s);
-    for (; p < k; ++p) {
-      sum += static_cast<std::int32_t>(a[p]) * static_cast<std::int32_t>(b[p]);
-    }
-    return sum;
-  }
 };
 
 }  // namespace
@@ -95,8 +79,13 @@ const Backend* avx512_backend() {
         !__builtin_cpu_supports("avx512vl")) {
       return nullptr;
     }
-    static const Backend table =
-        simd::SimdKernels<Avx512Vec>::make_backend("avx512");
+    static const Backend table = [] {
+      Backend t = simd::SimdKernels<Avx512Vec>::make_backend("avx512");
+      if (__builtin_cpu_supports("avx512vnni")) {
+        t.qgemm_nt = detail::qgemm_nt_vnni;
+      }
+      return t;
+    }();
     return &table;
   }();
   return backend;

@@ -37,27 +37,6 @@ struct NeonVec {
     return vmulq_f32(x, vreinterpretq_f32_s32(pow2));
   }
   static float hsum(reg v) { return vaddvq_f32(v); }
-
-  /// int8 dot: vmull_s8 widens to int16 products, vpadalq_s16 pair-adds
-  /// into the int32 accumulator.
-  static std::int32_t dot_i8(const std::int8_t* a, const std::int8_t* b,
-                             int k) {
-    int32x4_t acc = vdupq_n_s32(0);
-    int p = 0;
-    for (; p + 16 <= k; p += 16) {
-      const int8x16_t av = vld1q_s8(a + p);
-      const int8x16_t bv = vld1q_s8(b + p);
-      const int16x8_t lo = vmull_s8(vget_low_s8(av), vget_low_s8(bv));
-      const int16x8_t hi = vmull_s8(vget_high_s8(av), vget_high_s8(bv));
-      acc = vpadalq_s16(acc, lo);
-      acc = vpadalq_s16(acc, hi);
-    }
-    std::int32_t sum = vaddvq_s32(acc);
-    for (; p < k; ++p) {
-      sum += static_cast<std::int32_t>(a[p]) * static_cast<std::int32_t>(b[p]);
-    }
-    return sum;
-  }
 };
 
 }  // namespace

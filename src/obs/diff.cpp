@@ -59,7 +59,9 @@ void flatten_tables(const JsonValue& tables, MetricMap& out) {
       }
       std::string row_key = row.array[0].str;
       const int dup = seen_keys[row_key]++;
-      if (dup > 0) row_key += "#" + std::to_string(dup);
+      // Two appends, not "#" + to_string(): GCC 12 warns a false
+      // -Wrestrict inside <string> for literal + temporary.
+      if (dup > 0) row_key.append("#").append(std::to_string(dup));
       for (std::size_t c = 1;
            c < row.array.size() && c < header->array.size(); ++c) {
         if (!row.array[c].is_string()) continue;

@@ -120,7 +120,10 @@ TEST(FlightRecorder, RotationKeepsNewestBundlesByCount) {
   FlightRecorder rec(options);
 
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(rec.trigger("r" + std::to_string(i)).written);
+    // append(), not "r" + to_string(): GCC 12 warns a false -Wrestrict
+    // inside <string> for literal + temporary.
+    const std::string reason = std::string("r").append(std::to_string(i));
+    ASSERT_TRUE(rec.trigger(reason).written);
   }
   EXPECT_EQ(rec.dumps(), 6U);
   const auto reports = rec.bundle_reports();

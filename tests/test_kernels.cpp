@@ -5,12 +5,15 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <tuple>
 
 #include "kernels/backend.hpp"
 #include "kernels/elementwise.hpp"
 #include "kernels/gemm.hpp"
+#include "kernels/quant.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 
@@ -431,27 +434,69 @@ TEST(BackendParity, PointwiseMatchesScalar) {
   }
 }
 
-// int8 dot products accumulate exactly in int32 → bit-identical across
-// backends, including every tail length.
-TEST(BackendParity, DotI8ExactAcrossBackends) {
-  const kernels::Backend& ref = kernels::scalar_backend();
-  for (const auto* backend : kernels::available_backends()) {
-    for (const int k : {0, 1, 15, 16, 17, 31, 32, 33, 64, 100}) {
-      util::Rng rng(17);
-      std::vector<std::int8_t> a(static_cast<std::size_t>(k));
-      std::vector<std::int8_t> b(static_cast<std::size_t>(k));
-      for (auto& v : a) {
-        v = static_cast<std::int8_t>(rng.uniform(-127.0, 127.0));
+// The int8 GEMM accumulates exactly in int32 and never contracts its
+// dequantization epilogue, so every backend must match scalar bit for bit:
+// tails in m, n and k, panel-aligned slices (the VNNI path), slices that
+// start inside a k-group, slices that start inside a row panel (the
+// reference fallback), beta 0 and 1, all-zero activation rows and
+// zero-scale channels.
+TEST(BackendParity, QgemmExactAcrossBackends) {
+  struct Slice {
+    int r0;
+    int c0;
+  };
+  const std::string active = kernels::active_backend_name();
+  for (const int m : {1, 3, 8, 32}) {
+    for (const int n : {1, 15, 16, 17, 33, 384}) {
+      for (const int k : {1, 3, 4, 5, 64, 130}) {
+        util::Rng rng(static_cast<std::uint64_t>(m * 100000 + n * 1000 + k));
+        Matrix a = random_matrix(m, k, rng);
+        if (m > 1) tensor::fill_constant(a.view().block(1, 0, 1, k), 0.0F);
+        // Room for every slice origin below; every 7th channel is zero.
+        Matrix w = random_matrix(n + 16, k + 6, rng);
+        for (int r = 2; r < w.rows(); r += 7) {
+          tensor::fill_constant(w.view().block(r, 0, 1, w.cols()), 0.0F);
+        }
+        kernels::QuantizedMatrix qw;
+        qw.quantize_from(w.cview());
+        Matrix c0 = random_matrix(m, n, rng);
+        c0.at(0, 0) = -0.0F;
+
+        for (const Slice s : {Slice{0, 0}, Slice{16, 4}, Slice{16, 5},
+                              Slice{3, 6}}) {
+          const kernels::QuantView b = qw.view().block(s.r0, s.c0, n, k);
+          for (const float beta : {0.0F, 1.0F}) {
+            Matrix want = c0;
+            ASSERT_TRUE(kernels::set_backend("scalar"));
+            kernels::qgemm_nt(a.cview(), b, want.view(), beta);
+            for (const auto* backend : kernels::available_backends()) {
+              Matrix got = c0;
+              ASSERT_TRUE(kernels::set_backend(backend->name));
+              kernels::qgemm_nt(a.cview(), b, got.view(), beta);
+              EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                    sizeof(float) * want.count()),
+                        0)
+                  << backend->name << " m=" << m << " n=" << n << " k=" << k
+                  << " slice=(" << s.r0 << "," << s.c0 << ") beta=" << beta;
+            }
+          }
+        }
       }
-      for (auto& v : b) {
-        v = static_cast<std::int8_t>(rng.uniform(-127.0, 127.0));
-      }
-      EXPECT_EQ(backend->dot_i8(a.data(), b.data(), k),
-                ref.dot_i8(a.data(), b.data(), k))
-          << backend->name << " k=" << k;
     }
   }
+  ASSERT_TRUE(kernels::set_backend(active));
 }
+
+#if defined(__x86_64__)
+// Guards against the fast core silently dropping out of the table.
+TEST(BackendParity, Avx512UsesVnniQgemmWhenCpuHasIt) {
+  const kernels::Backend* avx512 = kernels::avx512_backend();
+  if (avx512 == nullptr || !__builtin_cpu_supports("avx512vnni")) {
+    GTEST_SKIP() << "no AVX-512 VNNI on this CPU";
+  }
+  EXPECT_EQ(avx512->qgemm_nt, &kernels::detail::qgemm_nt_vnni);
+}
+#endif
 
 TEST(BackendParity, NameLookupAndOverride) {
   EXPECT_NE(kernels::backend_by_name("scalar"), nullptr);

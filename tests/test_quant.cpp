@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "data/tidigits.hpp"
 #include "exec/bpar_executor.hpp"
@@ -39,7 +41,7 @@ TEST(Quantize, RoundTripErrorBoundedByHalfStep) {
       const float scale = v.scales[r];
       ASSERT_GT(scale, 0.0F);
       for (int c = 0; c < w.cols(); ++c) {
-        const float deq = static_cast<float>(v.row(r)[c]) * scale;
+        const float deq = static_cast<float>(v.at(r, c)) * scale;
         EXPECT_LE(std::abs(deq - w.at(r, c)), 0.5F * scale + 1e-6F)
             << (per_channel ? "per-channel" : "per-tensor") << " (" << r
             << "," << c << ")";
@@ -57,8 +59,8 @@ TEST(Quantize, ZeroRowsQuantizeToExactZeros) {
   EXPECT_EQ(v.scales[0], 0.0F);
   EXPECT_EQ(v.scales[2], 0.0F);
   for (int c = 0; c < 8; ++c) {
-    EXPECT_EQ(v.row(0)[c], 0);
-    EXPECT_EQ(v.row(2)[c], 0);
+    EXPECT_EQ(v.at(0, c), 0);
+    EXPECT_EQ(v.at(2, c), 0);
   }
   EXPECT_GT(v.scales[1], 0.0F);
 }
@@ -216,6 +218,40 @@ TEST_P(QuantizedInference, MatchesFp32OnTrainedTidigits) {
 INSTANTIATE_TEST_SUITE_P(Cells, QuantizedInference,
                          ::testing::Values(rnn::CellType::kLstm,
                                            rnn::CellType::kGru));
+
+// The int8 GEMM is bitwise equal across backends, so swapping the native
+// int8 core for the scalar one must leave a whole int8 inference bitwise
+// unchanged. (The scalar backend as a whole differs: its activations use
+// libm exp where SIMD backends use a polynomial.) Both runs happen in one
+// process, switching the table between them.
+TEST_P(QuantizedInference, LogitsBitwiseEqualAcrossQgemmCores) {
+  // 40 units: every gate block starts on a 16-row panel. 20 units: the
+  // GRU candidate block starts inside one, so its GEMM takes the fallback.
+  for (const int hidden : {40, 20}) {
+    rnn::NetworkConfig cfg = tidigits_config(GetParam());
+    cfg.hidden_size = hidden;
+    rnn::Network net(cfg);
+    const auto data = tidigits_batches(cfg);
+    ASSERT_FALSE(data.empty());
+    exec::BParExecutor int8(net, {.common = {.num_workers = 2},
+                                  .quantized_inference = true});
+    kernels::Backend reference_core = kernels::native_backend();
+    reference_core.qgemm_nt = kernels::scalar_backend().qgemm_nt;
+    const std::string active = kernels::active_backend_name();
+    kernels::set_backend(reference_core);
+    const auto want = int8.infer(data.front(), {.want_logits = true});
+    EXPECT_TRUE(kernels::set_backend("native"));  // no early return here
+    const auto got = int8.infer(data.front(), {.want_logits = true});
+    ASSERT_TRUE(kernels::set_backend(active));
+    ASSERT_FALSE(want.logits.empty());
+    ASSERT_EQ(got.logits.size(), want.logits.size());
+    EXPECT_EQ(std::memcmp(got.logits.data(), want.logits.data(),
+                          sizeof(float) * want.logits.size()),
+              0)
+        << "native backend " << kernels::native_backend().name
+        << ", hidden " << hidden;
+  }
+}
 
 TEST(QuantizedInference, RefreshTracksWeightUpdates) {
   const rnn::NetworkConfig cfg = tidigits_config(rnn::CellType::kGru);
