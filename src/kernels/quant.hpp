@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "kernels/backend.hpp"
+#include "tensor/aligned.hpp"
 #include "tensor/tensor.hpp"
 
 namespace bpar::kernels {
@@ -78,8 +79,13 @@ class QuantizedMatrix {
   }
 
  private:
-  std::vector<std::uint8_t> panels_;
-  std::vector<float> scales_;  // one per row, always
+  // Cache-line aligned: the VNNI core loads each 64-byte k-group (and 16
+  // scales) whole, and at a heap-dependent offset every such load would
+  // straddle two lines, so the kernel's speed varied from run to run.
+  template <typename T>
+  using Aligned = std::vector<T, tensor::CacheLineAllocator<T>>;
+  Aligned<std::uint8_t> panels_;
+  Aligned<float> scales_;  // one per row, always
   int rows_ = 0;
   int cols_ = 0;
   int groups_ = 0;

@@ -24,4 +24,28 @@ inline AlignedFloatPtr allocate_floats(std::size_t n) {
   return AlignedFloatPtr(p);
 }
 
+/// Allocator for std::vector that puts every buffer on a cache-line
+/// boundary, so 64-byte vector loads from it never straddle two lines.
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>& /*other*/) noexcept {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return static_cast<T*>(
+        ::operator new(n * sizeof(T), std::align_val_t{kCacheLineBytes}));
+  }
+  void deallocate(T* p, std::size_t /*n*/) const noexcept {
+    ::operator delete(p, std::align_val_t{kCacheLineBytes});
+  }
+
+  template <typename U>
+  bool operator==(const CacheLineAllocator<U>& /*other*/) const noexcept {
+    return true;
+  }
+};
+
 }  // namespace bpar::tensor
