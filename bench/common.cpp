@@ -82,7 +82,8 @@ double simulate_bpar(bpar::rnn::Network& net, const SimSetup& setup,
     g_last_model = bpar::taskrt::make_trace_model(
         program.graph(), std::span<const bpar::taskrt::TaskTrace>(r.trace),
         setup.cores);
-    g_last_model_cp_ns = program.graph().critical_path_cost(costs);
+    g_last_model_cp_ns =
+        simulator.critical_path_bound_ns(program.graph(), costs);
   }
   if (result != nullptr) *result = r;
   return r.makespan_ms;

@@ -148,7 +148,6 @@ int main(int argc, char** argv) {
     bpar::serve::EngineOptions options = base;
     options.enable_batching = true;
     options.trace_requests = mode.obs_on;
-    options.enable_sampler = mode.obs_on;
     options.sampler_period_ms = 1000;
     options.stats_port = mode.obs_on ? 0 : -1;  // ephemeral listener when on
     options.enable_profiler = mode.profiler_on;

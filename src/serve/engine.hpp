@@ -1,55 +1,14 @@
 // Inference serving engine: concurrent clients, dynamic micro-batching,
 // cached forward-only task graphs, and a resilience layer (DESIGN.md §5f +
-// §5h).
-//
-// An InferenceEngine owns a trained rnn::Network and a BParExecutor whose
-// per-(seq_length, batch_rows) program cache turns every repeated request
-// shape into a prebuilt task-graph replay — no graph construction on the
-// hot path. Clients submit single-sequence requests from any thread; a
-// single dispatcher thread coalesces them into micro-batches (up to
-// `max_batch`, or whatever arrived when the head request has waited
-// `max_delay_us`), pads the batch up to a power-of-two row bucket so the
-// cache stays small, and masks the padded rows out of every per-request
-// result (argmax, logits, loss — per-request losses are recomputed from the
-// request's own logits, so padding never pollutes them).
-//
-// Admission control (DESIGN.md §5h): every request carries a Priority
-// class. The bounded queue is per-class FIFO with strict priority across
-// classes (kHigh is always sealed first), per-class quotas cap how much of
-// `max_queue` a class may occupy, and queue-delay load shedding answers
-// overdue kNormal/kBatch requests with kShed when the backlog exceeds one
-// micro-batch — overload lands on the lowest classes while kHigh latency
-// stays flat. Already-expired deadlines are rejected at submit() so dead
-// requests never consume a queue slot.
-//
-// Fault-hardened execution: EngineOptions::executor.faults/watchdog_ms flow
-// into the executor's runtime (the PR-2 fault stack), and infer() is
-// wrapped in a recovery loop: InjectedFault / WatchdogError / non-finite
-// outputs trigger bounded whole-batch retries (fault schedules decorrelate
-// across runtime sessions), then bisection — the batch splits in half until
-// a deterministically poisoned request is isolated and answered
-// kInternalError while its batchmates succeed bit-exactly. A poisoned
-// runtime (watchdog fired and the graph never drained) is replaced by
-// rebuilding the executor.
-//
-// Graceful degradation: a circuit breaker counts consecutive failed
-// batches and steps down a degradation ladder (int8 → fp32 sidecar off,
-// native kernels → scalar, batched → batch-1), then probes half-open
-// recovery after a run of successes. An engine watchdog thread releases
-// injected stalls when the dispatcher stops making progress, and a
-// healthy / degraded / draining health state machine is exposed through
-// EngineStats and the serve.* obs metrics.
-//
-// Observability: per-stage latency histograms (serve.queue_us /
-// serve.batch_form_us / serve.exec_us), request/batch/shed/retry counters,
-// health + degrade-level gauges, and BPAR_SPAN tracing on the submit,
-// batch, retry, and bisect paths, so `bpar_prof analyze` attributes
-// retry/shed time on serving runs unchanged.
+// §5h). The engine owns a trained rnn::Network, an AdmissionQueue (queue
+// policy) and a BatchRunner (failure policy), and keeps submit(), the
+// dispatcher thread that seals micro-batches, the engine watchdog,
+// shutdown() and the telemetry wiring. Every request is answered through
+// one path, answer(), so each is answered exactly once.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -63,7 +22,6 @@
 #include <vector>
 
 #include "exec/bpar_executor.hpp"
-#include "exec/common_options.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/profiler.hpp"
 #include "obs/sampler.hpp"
@@ -71,194 +29,11 @@
 #include "obs/stats_server.hpp"
 #include "obs/trace_export.hpp"
 #include "rnn/network.hpp"
+#include "serve/admission.hpp"
+#include "serve/runner.hpp"
+#include "serve/types.hpp"
 
 namespace bpar::serve {
-
-/// Request priority classes for admission control. Lower value = served
-/// first. kHigh is never shed; kBatch is shed first under overload.
-enum class Priority : std::uint8_t { kHigh = 0, kNormal = 1, kBatch = 2 };
-inline constexpr int kNumPriorities = 3;
-
-[[nodiscard]] const char* priority_name(Priority priority);
-/// Parses "high" / "normal" / "batch" (throws util::Error otherwise).
-[[nodiscard]] Priority parse_priority(std::string_view name);
-
-struct EngineOptions {
-  /// Workers / replicas / policy for the owned BParExecutor — including
-  /// `faults` (deterministic fault injection) and `watchdog_ms` (runtime
-  /// no-progress watchdog), which flow into the runtime unchanged: the
-  /// serving engine inherits the PR-2 fault stack through here.
-  exec::CommonOptions executor{};
-  /// Largest micro-batch the dispatcher coalesces (and the top row bucket).
-  int max_batch = 8;
-  /// Flush deadline: a formed batch executes as soon as it reaches
-  /// max_batch OR the oldest queued request has waited this long.
-  std::uint32_t max_delay_us = 500;
-  /// Bounded queue (all classes together); submissions beyond it reject
-  /// with kRejected.
-  std::size_t max_queue = 256;
-  /// false → every request executes alone (batch-1 latency mode).
-  bool enable_batching = true;
-  /// Benchmark knob: build a fresh executor (and thus fresh task graphs)
-  /// for every micro-batch instead of replaying the cached programs. Only
-  /// for measuring what the cache buys (tools/bpar_serve --rebuild).
-  bool rebuild_per_call = false;
-  /// Record per-task timing in the executor so write_unified_trace() can
-  /// export an analyzable trace (`bpar_prof analyze`) of the last batch.
-  bool record_trace = false;
-  /// int8 inference (DESIGN.md §5g): serve with quantized weights.
-  /// load_weights() re-quantizes automatically.
-  bool quantized = false;
-
-  // ---- resilience (DESIGN.md §5h) ----
-  /// Per-class queue quotas, indexed by Priority: how many of the
-  /// max_queue slots each class may occupy. 0 → no class-specific cap
-  /// (the shared max_queue still applies).
-  std::array<std::size_t, kNumPriorities> class_quota{};
-  /// Queue-delay load shedding: when the backlog exceeds one micro-batch
-  /// (max_batch) AND a kNormal/kBatch request has waited longer than this,
-  /// it is answered kShed instead of executing, lowest class first. kHigh
-  /// is never shed. 0 → 16 * max_delay_us.
-  std::uint32_t shed_wait_us = 0;
-  /// Whole-batch retries after a fault (injected throw, watchdog error,
-  /// non-finite outputs) before bisection isolates the poisoned request.
-  int max_batch_retries = 2;
-  /// Circuit breaker: consecutive failed batches (retries exhausted) that
-  /// trip one step down the degradation ladder. 0 disables the breaker.
-  int breaker_threshold = 3;
-  /// Consecutive successful batches at a degraded level before the
-  /// breaker probes one step back up (half-open recovery).
-  int breaker_recovery = 16;
-  /// Engine watchdog: if the dispatcher makes no progress for this long
-  /// while work is pending, injected stalls are released and the fire is
-  /// counted/logged (the backstop when the runtime watchdog is off).
-  /// 0 → disabled.
-  std::uint32_t watchdog_ms = 0;
-
-  // ---- live observability (DESIGN.md §5i) ----
-  /// TCP port for the embedded stats endpoint (/metrics Prometheus text,
-  /// /statz JSON, /healthz). -1 = no listener; 0 = ephemeral port (read it
-  /// back with stats_port()). Enabling the listener also enables the
-  /// sampler — /statz windows need time series behind them.
-  int stats_port = -1;
-  /// Run the background MetricsSampler even without a listener (windowed
-  /// rollups through stats()/statz_json()).
-  bool enable_sampler = false;
-  /// Sampler tick period.
-  std::uint32_t sampler_period_ms = 1000;
-  /// Per-request stage tracing: every request logs admission → queue →
-  /// seal → form → execute → respond markers into a bounded ring that
-  /// write_unified_trace() merges onto the timeline ("requests" row) and
-  /// `bpar_prof request <id>` reconstructs.
-  bool trace_requests = true;
-  /// Availability / latency objectives for the built-in SLO tracker.
-  obs::SloOptions slo{};
-
-  // ---- flight recorder + profiler (DESIGN.md §5j) ----
-  /// Directory for flight-recorder dump bundles. Non-empty arms the
-  /// recorder: the circuit breaker, the engine watchdog, runtime watchdog
-  /// errors, and SLO both-window alerting each snapshot the last N seconds
-  /// of spans / task rows / request events / metrics into a rotated,
-  /// size-bounded bundle here, and `GET /debug/dump` forces one manually.
-  /// Fatal signals leave an async-signal-safe marker file in the same
-  /// directory. Empty = no recorder.
-  std::string dump_dir;
-  /// Minimum spacing between automatic dumps (a flapping breaker writes
-  /// one bundle, not hundreds).
-  std::uint32_t dump_debounce_ms = 5000;
-  /// Rotation bounds for the dump directory.
-  std::size_t dump_max_bundles = 8;
-  std::uint64_t dump_max_total_bytes = 64ULL << 20;
-  /// Run the continuous span-stack profiler for the engine's lifetime, so
-  /// `GET /profilez` serves windowed deltas and every dump bundle carries
-  /// a folded profile. Off by default: sampling costs ~4 relaxed stores
-  /// per span push/pop on every instrumented thread.
-  bool enable_profiler = false;
-  /// Profiler sampling period (see obs::ProfilerOptions).
-  std::uint32_t profiler_period_us = 2000;
-};
-
-enum class Status {
-  kOk,
-  kRejected,          // bounded queue (or class quota) full at submit time
-  kShed,              // load-shed from the queue under overload
-  kDeadlineExceeded,  // request expired before execution
-  kShutdown,          // submitted after shutdown() began
-  kFailed,            // invalid request (validation error; see error)
-  kInternalError,     // execution failed after retries + bisection
-};
-inline constexpr int kNumStatuses = 7;
-
-[[nodiscard]] const char* status_name(Status status);
-
-/// Engine health state machine (DESIGN.md §5h): healthy → degraded when
-/// the circuit breaker has stepped down the ladder (or failures are
-/// accumulating), back to healthy after a successful recovery probe;
-/// draining once shutdown() begins.
-enum class Health { kHealthy, kDegraded, kDraining };
-
-[[nodiscard]] const char* health_name(Health health);
-
-/// Lifecycle stages a request passes through, logged (when
-/// EngineOptions::trace_requests) as timestamped markers keyed by the
-/// request id. `arg` disambiguates within a stage: batch size at kSealed,
-/// padded rows at kFormed, attempt number at kRetry, bisection depth at
-/// kBisect, and the final Status at kResponded.
-enum class RequestStage : std::uint8_t {
-  kSubmitted,  // id assigned, request validated
-  kQueued,     // earned a queue slot
-  kSealed,     // taken into a micro-batch (arg = batch size)
-  kFormed,     // batch buffers filled (arg = padded rows)
-  kExecBegin,  // first execution attempt starts
-  kExecEnd,    // execution attempts finished (ok or not)
-  kRetry,      // whole-batch retry (arg = attempt number)
-  kBisect,     // batch split to isolate a fault (arg = depth)
-  kResponded,  // promise fulfilled (arg = Status)
-};
-inline constexpr int kNumRequestStages = 9;
-
-[[nodiscard]] const char* request_stage_name(RequestStage stage);
-
-/// One entry of the engine's bounded request-event ring.
-struct RequestEvent {
-  std::uint64_t id = 0;
-  std::uint64_t ts_ns = 0;  // absolute steady-clock ns
-  RequestStage stage = RequestStage::kSubmitted;
-  std::int32_t arg = 0;
-};
-
-/// One sequence to classify. `features` is row-major by timestep:
-/// features[t * input_size + f]. Labels are optional — empty means no loss
-/// is computed; otherwise 1 entry (many-to-one) or `steps` entries
-/// (many-to-many) and the response carries this request's exact loss.
-struct Request {
-  int steps = 0;
-  std::vector<float> features;
-  std::vector<int> labels;
-  /// Optional absolute deadline; default (epoch) = none. Already-expired
-  /// deadlines are answered kDeadlineExceeded at submit() without ever
-  /// occupying a queue slot.
-  std::chrono::steady_clock::time_point deadline{};
-  bool want_logits = false;
-  /// Admission class: kHigh is sealed first and never shed; kBatch is the
-  /// first to be shed under overload.
-  Priority priority = Priority::kNormal;
-};
-
-struct Response {
-  Status status = Status::kOk;
-  std::uint64_t id = 0;
-  /// Mean cross-entropy of THIS request (padding-immune; 0 without labels).
-  double loss = 0.0;
-  std::vector<int> predictions;  // [outputs] argmax class ids
-  std::vector<float> logits;     // [outputs * classes] when want_logits
-  int batch_rows = 0;            // executed micro-batch rows (with padding)
-  int real_rows = 0;             // of which were real requests
-  double queue_us = 0.0;         // submit → micro-batch sealed
-  double batch_form_us = 0.0;    // seal → batch buffers filled
-  double exec_us = 0.0;          // task-graph execution (incl. retries)
-  std::string error;             // kFailed / kInternalError diagnostic
-};
 
 /// Counter snapshot + health; the `serve.*` metrics mirror these.
 struct EngineStats {
@@ -286,12 +61,12 @@ struct EngineStats {
   obs::SloTracker::Snapshot slo{};
 };
 
-class InferenceEngine {
+class InferenceEngine : private BatchRunner::Sink {
  public:
   /// Builds the network from `config` (load trained weights through
   /// network() or load_weights() before serving) and starts the dispatcher.
   InferenceEngine(const rnn::NetworkConfig& config, EngineOptions options);
-  ~InferenceEngine();  // shutdown(): drains the queue, joins the dispatcher
+  ~InferenceEngine() override;  // shutdown(): drains, joins the dispatcher
 
   InferenceEngine(const InferenceEngine&) = delete;
   InferenceEngine& operator=(const InferenceEngine&) = delete;
@@ -300,7 +75,7 @@ class InferenceEngine {
   [[nodiscard]] const rnn::NetworkConfig& config() const {
     return net_.config();
   }
-  [[nodiscard]] exec::BParExecutor& executor() { return *executor_; }
+  [[nodiscard]] exec::BParExecutor& executor() { return runner_.executor(); }
 
   /// Reads weights saved by Model::save / rnn::Network::save.
   void load_weights(const std::string& path);
@@ -325,15 +100,13 @@ class InferenceEngine {
   [[nodiscard]] Health health() const;
   /// Current degradation-ladder level: 0 = full service; each step disables
   /// one acceleration (int8, SIMD backend, batching) in order.
-  [[nodiscard]] int degrade_level() const {
-    return degrade_level_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] int degrade_level() const { return runner_.degrade_level(); }
 
   /// Writes a unified chrome-trace (task slices of the LAST served
   /// micro-batch + every obs span recorded so far + per-request stage
   /// markers on a "requests" row) that `bpar_prof analyze` / `bpar_prof
   /// request <id>` consume. Requires EngineOptions::record_trace and at
-  /// least one cached-path batch; call when quiescent (after shutdown()).
+  /// least one served batch; call when quiescent (after shutdown()).
   void write_unified_trace(const std::string& path);
 
   /// The bound stats-endpoint port (useful with EngineOptions::stats_port
@@ -341,13 +114,9 @@ class InferenceEngine {
   [[nodiscard]] int stats_port() const;
   /// The /statz payload: EngineStats + per-class queue depths + SLO state
   /// + sampler windows + the full metrics registry, as one JSON object.
-  /// Works with or without a listener (the sampler section degrades to
-  /// whatever has been collected).
+  /// Works with or without a listener (the sampler section is null
+  /// without one).
   [[nodiscard]] std::string statz_json() const;
-  /// The background sampler, or nullptr when not enabled.
-  [[nodiscard]] const obs::MetricsSampler* sampler() const {
-    return sampler_.get();
-  }
   /// Copy of the request-event ring (oldest first) and how many events the
   /// bounded ring has discarded.
   [[nodiscard]] std::vector<RequestEvent> request_events() const;
@@ -361,120 +130,52 @@ class InferenceEngine {
   [[nodiscard]] const obs::FlightRecorder* flight_recorder() const {
     return flight_.get();
   }
-  /// The continuous span-stack profiler, or nullptr unless
-  /// EngineOptions::enable_profiler.
-  [[nodiscard]] const obs::SpanProfiler* profiler() const {
-    return profiler_.get();
-  }
   /// Collapsed-flamegraph text for roughly the next `seconds` of serving
   /// (what `GET /profilez?seconds=N` returns): a windowed delta of the
   /// continuous profiler when one is running, otherwise an ephemeral
   /// profiler spun up just for the window. Blocks for the window.
   [[nodiscard]] std::string profile_folded(double seconds);
 
-  /// The row bucket a micro-batch of `rows` requests pads up to: the next
-  /// power of two, clamped to `max_batch`.
-  [[nodiscard]] static int bucket_rows(int rows, int max_batch);
-
  private:
-  using Clock = std::chrono::steady_clock;
-
-  struct Pending {
-    Request request;
-    std::promise<Response> promise;
-    Clock::time_point enqueued;
-    std::uint64_t id = 0;
-  };
-
-  /// One rung of the degradation ladder: what is switched OFF at this
-  /// level. Levels are cumulative (level 2 includes level 1's flags).
-  struct DegradeStep {
-    const char* name = "full";
-    bool disable_quantized = false;
-    bool scalar_backend = false;
-    bool batch_one = false;
-  };
-
   void dispatcher_loop();
   void watchdog_loop();
-  /// Serves one sealed micro-batch (dispatcher thread only).
-  void process_batch(std::vector<Pending> taken, Clock::time_point sealed);
-  /// Forms + executes a request group with bounded retries; bisects on
-  /// exhaustion. Answers every promise exactly once. Dispatcher thread.
-  void serve_group(std::vector<Pending> live, Clock::time_point sealed,
-                   int depth);
-  /// One execution attempt under the current degradation level; never
-  /// throws. Returns an empty error string on success.
-  std::string try_execute(const rnn::BatchData& batch, bool need_logits,
-                          int steps, int rows, exec::InferResult& result);
-  /// Answers overdue sheddable requests with kShed. Caller holds mu_.
-  void shed_overdue_locked(Clock::time_point now);
-  /// Circuit breaker bookkeeping (dispatcher thread).
-  void note_group_success();
-  void note_group_failure();
-  void apply_degrade_level(int level);
-  /// Replaces a poisoned executor with a fresh one (dispatcher thread).
-  void rebuild_executor();
-  void set_health(Health health);
-  void touch_progress();
-  /// Appends to the bounded request-event ring (no-op unless
-  /// EngineOptions::trace_requests). Any thread.
-  void record_request_event(std::uint64_t id, RequestStage stage,
-                            std::int32_t arg = 0);
-  /// SLO bookkeeping for one terminal response (kRejected / kShutdown /
-  /// kFailed are not SLO-eligible — they are client errors or the client's
-  /// own backpressure signal, not service failures).
-  void record_slo(Status status, double latency_us);
-  /// Publishes serve.queue_depth and the per-class
-  /// serve.queue_depth.{high,normal,batch} gauges. Caller holds mu_.
-  void publish_queue_depths_locked();
-  /// Builds + starts the sampler / stats listener per options_ (ctor).
-  void start_observability();
-  /// Builds + arms the flight recorder / profiler per options_ (ctor,
-  /// before start_observability so handlers can reference them).
-  void start_flight_recorder();
+  /// Answers expired requests, runs the rest (dispatcher thread only).
+  void serve_batch(std::vector<Pending> taken, Clock::time_point sealed);
+
+  // ---- BatchRunner::Sink; all callable from any thread ----
+  /// The one answer path: counts the outcome, feeds the SLO tracker, logs
+  /// kResponded and fulfils the promise.
+  void answer(Pending& pending, Response response) override;
+  /// No-op unless EngineOptions::trace_requests.
+  void event(std::uint64_t id, RequestStage stage, std::int32_t arg) override;
+  void count(Counter counter, std::uint64_t n) override;
+  /// Ignores everything but kDraining once shutdown() has begun.
+  void set_health(Health health) override;
+  void dump(std::string_view reason) override { (void)trigger_dump(reason); }
+  void progress() override;
+
+  /// Starts the profiler, flight recorder, sampler and stats listener
+  /// that options_ asks for (ctor).
+  void start_telemetry();
   /// The request-stage instant markers as a trace-export hook, shared by
   /// write_unified_trace() and flight dumps.
   [[nodiscard]] obs::ExtraEventEmitter request_marker_emitter() const;
-  /// FlightRecorder trace provider: the last traced batch's unified trace
-  /// when one exists, else a spans-only trace — request markers ride along
-  /// either way. Takes trace_mu_.
-  bool write_flight_trace(std::ostream& os);
-  /// Edge-detects SLO both-window alerting and fires a dump on the rising
-  /// edge. Dispatcher thread, mu_ not held.
-  void check_slo_alert();
-  /// Serve-queue memory accounting (mem.serve_queue): the payload bytes a
-  /// queued request pins.
-  static std::uint64_t pending_bytes(const Pending& pending);
   [[nodiscard]] std::string validate(const Request& request) const;
-  [[nodiscard]] std::size_t total_queued_locked() const;
-  [[nodiscard]] std::uint32_t effective_shed_wait_us() const;
-  /// The executor serving at the current degradation level (fp32 sidecar
-  /// when the int8 path has been stepped off). Dispatcher thread.
-  [[nodiscard]] exec::BParExecutor& active_executor();
 
   rnn::Network net_;
   EngineOptions options_;
-  std::unique_ptr<exec::BParExecutor> executor_;
-  /// fp32 fallback executor, built lazily the first time the ladder steps
-  /// off the int8 path (only ever non-null when options_.quantized).
-  std::unique_ptr<exec::BParExecutor> fp32_executor_;
   Clock::time_point started_;
-  std::string native_backend_;  // kernel backend at construction
+  std::array<std::atomic<std::uint64_t>, kNumCounters> counts_{};
+  std::array<obs::Counter*, kNumCounters> metrics_{};  // serve.* registry
+  obs::SloTracker slo_;
+  BatchRunner runner_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  /// Per-class FIFO queues, indexed by Priority; strict priority across
-  /// classes at seal time. All guarded by mu_.
-  std::array<std::deque<Pending>, kNumPriorities> queues_;
+  AdmissionQueue queue_;                // guarded by mu_
   std::atomic<bool> stopping_{false};  // written under mu_
 
-  mutable std::mutex trace_mu_;  // guards the two last-trace fields
-  graph::TrainingProgram* last_traced_program_ = nullptr;
-  taskrt::RunStats last_traced_stats_;
-
   // ---- live observability (DESIGN.md §5i) ----
-  obs::SloTracker slo_;
   std::unique_ptr<obs::MetricsSampler> sampler_;
   std::unique_ptr<obs::StatsServer> stats_server_;
   // ---- flight recorder + profiler (DESIGN.md §5j) ----
@@ -482,41 +183,19 @@ class InferenceEngine {
   std::unique_ptr<obs::SpanProfiler> profiler_;
   bool slo_alerting_prev_ = false;  // dispatcher thread only
   /// Bounded drop-oldest request-event log. Its own mutex: recording
-  /// happens on the submit path and inside serve_group, where mu_ is not
+  /// happens on the submit path and inside the runner, where mu_ is not
   /// (or must not be) held.
   static constexpr std::size_t kMaxRequestEvents = 1U << 16;
   mutable std::mutex req_mu_;
   std::deque<RequestEvent> request_events_;
   std::uint64_t request_events_dropped_ = 0;
-
-  // ---- degradation ladder + circuit breaker (dispatcher thread) ----
-  std::vector<DegradeStep> ladder_;  // [0] = full service
-  int consecutive_failures_ = 0;
-  int consecutive_successes_ = 0;
-  std::atomic<int> degrade_level_{0};
   std::atomic<int> health_{0};  // Health as int, for lock-free reads
 
   // ---- engine watchdog ----
   std::atomic<std::uint64_t> last_progress_ns_{0};
-  std::atomic<bool> in_flight_{false};  // dispatcher inside process_batch
+  std::atomic<bool> in_flight_{false};  // dispatcher inside serve_batch
   std::condition_variable watchdog_cv_;  // waits on mu_
-
   std::atomic<std::uint64_t> next_id_{1};
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> expired_{0};
-  std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> internal_errors_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> padded_rows_{0};
-  std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> bisections_{0};
-  std::atomic<std::uint64_t> degraded_steps_{0};
-  std::atomic<std::uint64_t> recovered_steps_{0};
-  std::atomic<std::uint64_t> watchdog_fires_{0};
-  std::atomic<std::uint64_t> executor_rebuilds_{0};
 
   // Threads last: they start after everything above is initialized.
   std::thread watchdog_;

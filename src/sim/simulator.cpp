@@ -288,4 +288,21 @@ SimResult Simulator::run(const TaskGraph& graph,
   return result;
 }
 
+std::uint64_t Simulator::critical_path_bound_ns(
+    const TaskGraph& graph, std::span<const std::uint64_t> cost_ns) const {
+  const MachineModel& mach = options_.machine;
+  // Same arithmetic as run() at full L3 residency, so rounding cannot put
+  // the bound above a charge run() makes.
+  const double least_factor =
+      std::min({1.0, 1.0 - (1.0 - mach.cache_hot_discount),
+                mach.numa_remote_penalty});
+  std::vector<std::uint64_t> least(cost_ns.size());
+  for (std::size_t i = 0; i < least.size(); ++i) {
+    least[i] = static_cast<std::uint64_t>(
+        (static_cast<double>(cost_ns[i]) + mach.dispatch_overhead_ns) *
+        least_factor);
+  }
+  return graph.critical_path_cost(least);
+}
+
 }  // namespace bpar::sim

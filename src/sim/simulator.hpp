@@ -83,6 +83,14 @@ class Simulator {
   [[nodiscard]] SimResult run(const taskrt::TaskGraph& graph,
                               std::span<const std::uint64_t> cost_ns) const;
 
+  /// A lower bound on every makespan run() can report for these costs: the
+  /// critical path with each task charged the least this machine ever
+  /// charges it — its cost plus dispatch overhead, fully cache-hot (or
+  /// remote, if that penalty were below 1).
+  [[nodiscard]] std::uint64_t critical_path_bound_ns(
+      const taskrt::TaskGraph& graph,
+      std::span<const std::uint64_t> cost_ns) const;
+
  private:
   SimOptions options_;
 };

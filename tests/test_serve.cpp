@@ -15,9 +15,11 @@
 
 #include "exec/sequential.hpp"
 #include "obs/json.hpp"
+#include "obs/memory.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stats_server.hpp"
 #include "rnn/network.hpp"
+#include "serve/admission.hpp"
 #include "serve/engine.hpp"
 #include "serve/loadgen.hpp"
 #include "taskrt/fault.hpp"
@@ -76,14 +78,14 @@ rnn::BatchData unit_batch(const rnn::NetworkConfig& cfg,
 }
 
 TEST(ServeBucketRows, PowersOfTwoClampedToMaxBatch) {
-  EXPECT_EQ(InferenceEngine::bucket_rows(1, 8), 1);
-  EXPECT_EQ(InferenceEngine::bucket_rows(2, 8), 2);
-  EXPECT_EQ(InferenceEngine::bucket_rows(3, 8), 4);
-  EXPECT_EQ(InferenceEngine::bucket_rows(5, 8), 8);
-  EXPECT_EQ(InferenceEngine::bucket_rows(8, 8), 8);
-  EXPECT_EQ(InferenceEngine::bucket_rows(3, 6), 4);
-  EXPECT_EQ(InferenceEngine::bucket_rows(5, 6), 6);   // clamped, not 8
-  EXPECT_EQ(InferenceEngine::bucket_rows(6, 6), 6);
+  EXPECT_EQ(serve::BatchRunner::bucket_rows(1, 8), 1);
+  EXPECT_EQ(serve::BatchRunner::bucket_rows(2, 8), 2);
+  EXPECT_EQ(serve::BatchRunner::bucket_rows(3, 8), 4);
+  EXPECT_EQ(serve::BatchRunner::bucket_rows(5, 8), 8);
+  EXPECT_EQ(serve::BatchRunner::bucket_rows(8, 8), 8);
+  EXPECT_EQ(serve::BatchRunner::bucket_rows(3, 6), 4);
+  EXPECT_EQ(serve::BatchRunner::bucket_rows(5, 6), 6);   // clamped, not 8
+  EXPECT_EQ(serve::BatchRunner::bucket_rows(6, 6), 6);
 }
 
 TEST(ServeEngine, RepeatedInferIsBitExact) {
@@ -440,13 +442,23 @@ TEST(ServePriority, HighClassServedBeforeBatchClass) {
 
 TEST(ServeShedding, OverdueLowClassesShedHighNever) {
   const auto cfg = small_config();
-  EngineOptions options = slow_options(/*max_batch=*/2);
-  options.shed_wait_us = 1000;  // 1ms — the blocker takes far longer
+  EngineOptions options = quiet_options(/*max_batch=*/2);
+  // Every batch stalls in task 0 until the test releases it, so the blocker
+  // stays in flight while the backlog queues up behind it.
+  options.executor.faults = taskrt::FaultSpec::parse("stall_tasks=0");
+  options.shed_wait_us = 1000;  // 1ms
   InferenceEngine engine(cfg, options);
+  taskrt::FaultInjector& injector =
+      *engine.executor().runtime().fault_injector();
 
   auto blocker =
       engine.submit(serve::make_request(cfg, cfg.seq_length, 1, true));
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(30);
+  while ((engine.queue_depth() != 0 || injector.active_stalls() == 0) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
   std::vector<std::future<Response>> lows;
   for (std::uint64_t seed = 2; seed <= 6; ++seed) {
     Request r = serve::make_request(cfg, cfg.seq_length, seed, true);
@@ -456,6 +468,14 @@ TEST(ServeShedding, OverdueLowClassesShedHighNever) {
   Request high = serve::make_request(cfg, cfg.seq_length, 7, true);
   high.priority = Priority::kHigh;
   auto f_high = engine.submit(std::move(high));
+  // The blocker is sealed and stalled, so all six wait in the queue until
+  // they are overdue; then every stalled batch is released.
+  EXPECT_EQ(engine.queue_depth(), 6U);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  while (f_high.wait_for(std::chrono::milliseconds(1)) !=
+         std::future_status::ready) {
+    injector.release_stalls();
+  }
 
   // Backlog at the shed check: 6 > max_batch. Sheds kBatch (oldest first)
   // until the backlog fits one micro-batch again — 4 shed, and never kHigh.
@@ -740,6 +760,198 @@ TEST(ServeObservability, StatzJsonParsesWithSchema) {
   const auto after = obs::http_get(
       "127.0.0.1", static_cast<std::uint16_t>(port), "/healthz");
   EXPECT_FALSE(after.ok && after.status == 200);
+}
+
+// ---- AdmissionQueue (no threads, synthetic time points) ----
+
+using serve::AdmissionQueue;
+using serve::Pending;
+
+Pending queued(Priority priority, std::uint64_t id,
+               serve::Clock::time_point enqueued, int steps = 6) {
+  Pending p;
+  p.request.steps = steps;
+  p.request.features.assign(static_cast<std::size_t>(steps), 0.5F);
+  p.request.priority = priority;
+  p.enqueued = enqueued;
+  p.id = id;
+  return p;
+}
+
+std::vector<std::uint64_t> ids_of(const std::vector<Pending>& pendings) {
+  std::vector<std::uint64_t> ids;
+  for (const Pending& p : pendings) ids.push_back(p.id);
+  return ids;
+}
+
+TEST(ServeAdmissionQueue, ShedsLowestClassOldestFirstUntilOneBatchFits) {
+  EngineOptions options;
+  options.max_batch = 3;
+  options.shed_wait_us = 1000;
+  AdmissionQueue queue(options);
+  const serve::Clock::time_point t0 = serve::Clock::now();
+  const auto at_us = [&](int us) { return t0 + std::chrono::microseconds(us); };
+  const auto admit = [&](Priority priority, std::uint64_t id, int t_us) {
+    Pending p = queued(priority, id, at_us(t_us));
+    return queue.admit(p);
+  };
+  ASSERT_TRUE(admit(Priority::kHigh, 1, 0));
+  ASSERT_TRUE(admit(Priority::kNormal, 2, 100));
+  ASSERT_TRUE(admit(Priority::kBatch, 3, 200));
+  ASSERT_TRUE(admit(Priority::kBatch, 4, 300));
+  ASSERT_TRUE(admit(Priority::kNormal, 5, 400));
+  ASSERT_TRUE(admit(Priority::kNormal, 6, 500));
+  ASSERT_TRUE(admit(Priority::kNormal, 7, 600));
+  ASSERT_TRUE(admit(Priority::kBatch, 8, 5000));  // fresh
+  ASSERT_EQ(queue.size(), 8U);
+
+  // Nobody has waited past shed_wait_us yet: backlog alone sheds nothing.
+  EXPECT_TRUE(queue.shed_overdue(at_us(900)).empty());
+  // kBatch goes first (3, 4; 8 is not overdue), then kNormal oldest first
+  // until three requests (one micro-batch) remain: 7 is overdue but kept,
+  // and the overdue kHigh request is never a candidate.
+  EXPECT_EQ(ids_of(queue.shed_overdue(at_us(2000))),
+            (std::vector<std::uint64_t>{3, 4, 2, 5, 6}));
+  EXPECT_EQ(queue.size(), 3U);
+  EXPECT_EQ(queue.depths(), (std::array<std::size_t, 3>{1, 1, 1}));
+  EXPECT_TRUE(queue.shed_overdue(at_us(60'000'000)).empty());
+
+  // A backlog of overdue kHigh requests alone is never shed.
+  options.max_batch = 1;
+  AdmissionQueue high_only(options);
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    Pending p = queued(Priority::kHigh, id, t0);
+    ASSERT_TRUE(high_only.admit(p));
+  }
+  EXPECT_TRUE(high_only.shed_overdue(at_us(60'000'000)).empty());
+  EXPECT_EQ(high_only.size(), 4U);
+}
+
+TEST(ServeAdmissionQueue, DepthsAndGaugesFollowAdmitShedSeal) {
+  EngineOptions options;
+  options.max_batch = 4;
+  options.max_queue = 7;
+  options.shed_wait_us = 1000;
+  const std::uint64_t queued_bytes_before =
+      obs::serve_queue_memory().current_bytes();
+  AdmissionQueue queue(options);
+  const serve::Clock::time_point t0 = serve::Clock::now();
+  const auto expect_depths = [&](std::size_t high, std::size_t normal,
+                                 std::size_t batch) {
+    const auto snap = obs::Registry::instance().snapshot(false);
+    EXPECT_EQ(queue.depths(),
+              (std::array<std::size_t, 3>{high, normal, batch}));
+    EXPECT_EQ(queue.size(), high + normal + batch);
+    EXPECT_EQ(snap.gauges.at("serve.queue_depth"),
+              static_cast<double>(high + normal + batch));
+    EXPECT_EQ(snap.gauges.at("serve.queue_depth.high"),
+              static_cast<double>(high));
+    EXPECT_EQ(snap.gauges.at("serve.queue_depth.normal"),
+              static_cast<double>(normal));
+    EXPECT_EQ(snap.gauges.at("serve.queue_depth.batch"),
+              static_cast<double>(batch));
+  };
+
+  std::uint64_t id = 0;
+  const auto admit = [&](Priority priority, int steps) {
+    Pending p = queued(priority, ++id, t0, steps);
+    return queue.admit(p);
+  };
+  ASSERT_TRUE(admit(Priority::kBatch, 6));
+  ASSERT_TRUE(admit(Priority::kBatch, 6));
+  ASSERT_TRUE(admit(Priority::kNormal, 6));
+  ASSERT_TRUE(admit(Priority::kBatch, 6));
+  ASSERT_TRUE(admit(Priority::kHigh, 6));
+  ASSERT_TRUE(admit(Priority::kNormal, 6));
+  ASSERT_TRUE(admit(Priority::kBatch, 9));
+  expect_depths(1, 2, 4);
+  // max_queue is full: the request is refused and left with its caller.
+  Pending refused = queued(Priority::kHigh, 99, t0);
+  EXPECT_FALSE(queue.admit(refused));
+  EXPECT_EQ(refused.request.features.size(), 6U);
+  expect_depths(1, 2, 4);
+
+  // 7 > max_batch: the three oldest kBatch requests go, then it fits.
+  EXPECT_EQ(ids_of(queue.shed_overdue(t0 + std::chrono::milliseconds(2))),
+            (std::vector<std::uint64_t>{1, 2, 4}));
+  expect_depths(1, 2, 1);
+
+  // Seal takes the head's length only, in priority order; the length-9
+  // request stays queued.
+  ASSERT_NE(queue.head(), nullptr);
+  EXPECT_EQ(queue.head()->id, 5U);
+  EXPECT_EQ(queue.count_steps(6), 3U);
+  EXPECT_EQ(ids_of(queue.seal(6, 4)), (std::vector<std::uint64_t>{5, 3, 6}));
+  expect_depths(0, 0, 1);
+  EXPECT_EQ(ids_of(queue.seal(9, 4)), (std::vector<std::uint64_t>{7}));
+  expect_depths(0, 0, 0);
+  EXPECT_EQ(queue.head(), nullptr);
+  EXPECT_EQ(obs::serve_queue_memory().current_bytes(), queued_bytes_before);
+}
+
+// ---- BatchRunner (driven directly, through a recording Sink) ----
+
+struct RecordingSink : serve::BatchRunner::Sink {
+  std::map<std::uint64_t, Response> answers;
+  std::array<std::uint64_t, serve::kNumCounters> counts{};
+  std::vector<serve::Health> health;
+  std::vector<std::string> dumps;
+
+  void answer(Pending& pending, Response response) override {
+    EXPECT_TRUE(answers.emplace(pending.id, std::move(response)).second)
+        << "request " << pending.id << " answered twice";
+  }
+  void event(std::uint64_t, serve::RequestStage, std::int32_t) override {}
+  void count(serve::Counter counter, std::uint64_t n) override {
+    counts[static_cast<std::size_t>(counter)] += n;
+  }
+  void set_health(serve::Health h) override { health.push_back(h); }
+  void dump(std::string_view reason) override { dumps.emplace_back(reason); }
+  void progress() override {}
+};
+
+TEST(ServeBatchRunner, BisectsAndTripsBreakerThroughItsSink) {
+  const auto cfg = small_config();
+  EngineOptions options = quiet_options(/*max_batch=*/4);
+  options.max_batch_retries = 0;
+  options.breaker_threshold = 2;
+  rnn::Network net(cfg);
+  RecordingSink sink;
+  serve::BatchRunner runner(net, options, sink);
+
+  std::vector<Pending> group;
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    Pending p;
+    p.request = serve::make_request(cfg, cfg.seq_length, id, true);
+    if (id == 3) {
+      p.request.features[0] = std::numeric_limits<float>::quiet_NaN();
+    }
+    p.id = id;
+    p.enqueued = serve::Clock::now();
+    group.push_back(std::move(p));
+  }
+  runner.run(std::move(group), serve::Clock::now());
+
+  // [1 2 3 4] fails, [1 2] succeeds, [3 4] and [3] fail — two failures in
+  // a row trip the breaker — and [4] succeeds at the degraded level.
+  ASSERT_EQ(sink.answers.size(), 4U);
+  for (const auto& [id, response] : sink.answers) {
+    EXPECT_EQ(response.status,
+              id == 3 ? Status::kInternalError : Status::kOk)
+        << "request " << id;
+  }
+  const auto count = [&](serve::Counter c) {
+    return sink.counts[static_cast<std::size_t>(c)];
+  };
+  EXPECT_EQ(count(serve::Counter::kBatches), 5U);
+  EXPECT_EQ(count(serve::Counter::kBisections), 2U);
+  EXPECT_EQ(count(serve::Counter::kRetries), 0U);
+  EXPECT_EQ(count(serve::Counter::kDegraded), 1U);
+  EXPECT_EQ(runner.degrade_level(), 1);
+  EXPECT_EQ(sink.dumps, std::vector<std::string>{"breaker-trip"});
+  ASSERT_FALSE(sink.health.empty());
+  EXPECT_EQ(sink.health.back(), serve::Health::kDegraded);
+  runner.restore_backend();  // the first rung may switch kernels to scalar
 }
 
 }  // namespace

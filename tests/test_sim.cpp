@@ -2,6 +2,8 @@
 // scheduler-policy effects, NUMA/cache modeling, and stat integrity.
 #include <gtest/gtest.h>
 
+#include "graph/brnn_graph.hpp"
+#include "rnn/network.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/machine.hpp"
 #include "sim/simulator.hpp"
@@ -277,6 +279,41 @@ TEST(Simulator, BandwidthContentionSlowsOversubscribedSockets) {
   Simulator few_plain({.machine = plain, .cores = 4});
   EXPECT_EQ(few.run(g, costs).makespan_ms,
             few_plain.run(g, costs).makespan_ms);
+}
+
+// The reported "critical path (model)" must bound the simulated makespan
+// from below on the real BRNN graphs under the default machine, where
+// cache-hot tasks are charged less than their modeled cost.
+TEST(Simulator, CriticalPathBoundsMakespanOnBrnnGraphs) {
+  const Calibration calibration{.gflops = 40.0, .mem_gbps = 12.0,
+                                .fixed_ns = 300.0};
+  for (const auto cell : {rnn::CellType::kLstm, rnn::CellType::kGru}) {
+    for (const bool training : {true, false}) {
+      rnn::NetworkConfig cfg;
+      cfg.cell = cell;
+      cfg.input_size = 256;
+      cfg.hidden_size = 256;
+      cfg.num_layers = 2;
+      cfg.seq_length = 24;
+      cfg.batch_size = 128;
+      cfg.num_classes = 11;
+      rnn::Network net(cfg, /*allocate_weights=*/false);
+      const graph::TrainingProgram program(
+          net, cfg.batch_size,
+          {.num_replicas = 4, .training = training, .executable = false});
+      const auto costs = modeled_costs(program.graph(), calibration);
+      for (const auto policy :
+           {SchedulerPolicy::kFifo, SchedulerPolicy::kLocalityAware}) {
+        const Simulator sim({.policy = policy});
+        const double makespan_ns =
+            sim.run(program.graph(), costs).makespan_ms * 1e6;
+        EXPECT_GE(makespan_ns, static_cast<double>(sim.critical_path_bound_ns(
+                                   program.graph(), costs)))
+            << rnn::cell_name(cell) << (training ? " train" : " infer")
+            << " policy " << static_cast<int>(policy);
+      }
+    }
+  }
 }
 
 }  // namespace
